@@ -57,7 +57,6 @@ from .reconstruction import (
 from .sampling import born_sample, uniform_sample
 from .schrodinger import (
     FreePotential,
-    GridPotential,
     HarmonicPotential,
     Potential,
     PropagatorConfig,

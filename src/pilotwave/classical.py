@@ -19,7 +19,7 @@ from scipy.interpolate import CubicSpline
 from .errors import CausticDetectedError, UndefinedGradientError
 from .grid import SpatialGrid
 from .schrodinger import FreePotential, Potential
-from .trajectories import Trajectory
+from .trajectories import Trajectory, _rk4_step
 
 
 def _as_points(q) -> np.ndarray:
@@ -231,6 +231,9 @@ def classical_trajectory(state: ClassicalState, t_end: float, dt: float,
             return state.p0 / mass
         return action.gradient(q, t)[0] / mass
 
+    def flow(q, t):
+        return velocity(q, t), False
+
     span = t_end - state.t0
     if span < 0:
         raise ValueError("t_end must be >= t0")
@@ -242,11 +245,7 @@ def classical_trajectory(state: ClassicalState, t_end: float, dt: float,
     vels = [velocity(q, state.t0)]
     for step in range(n_steps):
         t = state.t0 + step * dt_eff
-        k1 = velocity(q, t)
-        k2 = velocity(q + 0.5 * dt_eff * k1, t + 0.5 * dt_eff)
-        k3 = velocity(q + 0.5 * dt_eff * k2, t + 0.5 * dt_eff)
-        k4 = velocity(q + dt_eff * k3, t + dt_eff)
-        q = q + (dt_eff / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        q = _rk4_step(flow, q, t, dt_eff)[0]
         if (step + 1) % record_stride == 0 or step + 1 == n_steps:
             t_next = state.t0 + (step + 1) * dt_eff
             times.append(t_next)
@@ -345,11 +344,13 @@ def transport_classical(density0: ClassicalDensity, action: ActionField,
     x = q_nodes.copy()
     s = np.asarray(action.evaluate(q_nodes[:, None], t_start), dtype=float)
 
-    def rhs(xv, t):
+    def rhs(y, t):
+        # y stacks the characteristic positions and the action they carry
+        xv = y[0]
         g = action.gradient(xv[:, None], t)[:, 0]
         v = g / mass_p
         lagr = 0.5 * mass_p * v**2 - potential.at(xv[:, None])
-        return v, lagr
+        return np.stack([v, lagr]), False
 
     rec_times = [t_start]
     rec_x = [x.copy()]
@@ -372,14 +373,8 @@ def transport_classical(density0: ClassicalDensity, action: ActionField,
 
     for step in range(n_steps):
         t = t_start + step * span / n_steps
-        h = span / n_steps
         with np.errstate(all="ignore"):
-            v1, l1 = rhs(x, t)
-            v2, l2 = rhs(x + 0.5 * h * v1, t + 0.5 * h)
-            v3, l3 = rhs(x + 0.5 * h * v2, t + 0.5 * h)
-            v4, l4 = rhs(x + h * v3, t + h)
-            x = x + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
-            s = s + (h / 6.0) * (l1 + 2 * l2 + 2 * l3 + l4)
+            x, s = _rk4_step(rhs, np.stack([x, s]), t, span / n_steps)[0]
         t_now = t_start + (step + 1) * span / n_steps
         if not np.all(np.isfinite(x)):
             caustic(f"characteristics became non-finite near t = {t_now:g} "

@@ -81,6 +81,15 @@ class SpatialGrid:
         n = self.shape[axis]
         return 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx[axis])
 
+    def k_squared(self) -> np.ndarray:
+        """Squared angular wavenumber |k|^2 on the grid shape."""
+        k2 = np.zeros(self.shape, dtype=float)
+        for a in range(self.dim):
+            shape = [1] * self.dim
+            shape[a] = self.shape[a]
+            k2 = k2 + (self.wavenumbers(a) ** 2).reshape(shape)
+        return k2
+
     def integrate(self, values: np.ndarray) -> float:
         """Integral over the box: rectangle rule, exact for band-limited data."""
         return float(np.sum(values) * self.cell_volume)

@@ -7,6 +7,9 @@ Field files start with a single comment header
 (multi-axis values comma-separated), followed by rows ``q[,q2],re,im`` for
 complex fields or ``q[,q2],value`` for real ones. All floats are written
 with 17 significant digits, which round-trips IEEE doubles bit-exactly.
+Field rows go through one ``np.savetxt(fmt="%.17g")`` call; ``"%.17g" % x``
+is the same text as ``format(x, ".17g")`` used for headers and tables, so
+every file shares one float format.
 """
 
 import numpy as np
@@ -41,21 +44,16 @@ def _parse_header(line: str):
     return grid, t
 
 
-def _coordinate_rows(grid: SpatialGrid):
-    coords = grid.coordinates()
-    return [c.ravel() for c in coords]
+def _dump_field(path, field, value_cols) -> None:
+    cols = [c.ravel() for c in field.grid.coordinates()] + value_cols
+    with open(path, "w") as fh:
+        fh.write(_grid_header(field.grid, field.time) + "\n")
+        np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",")
 
 
 def dump_wave_field(path, field: WaveField) -> None:
-    cols = _coordinate_rows(field.grid)
     flat = field.values.ravel()
-    with open(path, "w") as fh:
-        fh.write(_grid_header(field.grid, field.time) + "\n")
-        for i in range(flat.size):
-            parts = [_fmt(c[i]) for c in cols]
-            parts.append(_fmt(flat[i].real))
-            parts.append(_fmt(flat[i].imag))
-            fh.write(",".join(parts) + "\n")
+    _dump_field(path, field, [flat.real, flat.imag])
 
 
 def load_wave_field(path) -> WaveField:
@@ -68,14 +66,7 @@ def load_wave_field(path) -> WaveField:
 
 
 def dump_real_field(path, field: RealField) -> None:
-    cols = _coordinate_rows(field.grid)
-    flat = field.values.ravel()
-    with open(path, "w") as fh:
-        fh.write(_grid_header(field.grid, field.time) + "\n")
-        for i in range(flat.size):
-            parts = [_fmt(c[i]) for c in cols]
-            parts.append(_fmt(flat[i]))
-            fh.write(",".join(parts) + "\n")
+    _dump_field(path, field, [field.values.ravel()])
 
 
 def load_real_field(path, units: str = "") -> RealField:

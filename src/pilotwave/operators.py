@@ -1,12 +1,10 @@
 """Differential operators on periodic grids.
 
-Two families are provided and both are exposed wherever a derivative is
-taken:
+Two families are provided:
 
 * spectral (FFT) operators — exact for band-limited periodic data, i.e.
-  the error decays faster than any power of dx for smooth fields; this is
-  the default and matches the implicit periodicity of the split-step
-  propagator;
+  the error decays faster than any power of dx for smooth fields; they
+  match the implicit periodicity of the split-step propagator;
 * 4th-order central differences — local stencils with O(dx^4) truncation
   error, preferred for fields with masked node regions where spectral
   differentiation would smear local defects over the whole box.
@@ -44,14 +42,7 @@ def spectral_gradient(values: np.ndarray, grid: SpatialGrid, axis: int = 0) -> n
 
 def spectral_laplacian(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Sum of second derivatives over all axes, computed in Fourier space."""
-    spec = np.fft.fftn(values)
-    k2 = np.zeros(grid.shape, dtype=float)
-    for a in range(grid.dim):
-        k = grid.wavenumbers(a)
-        shape = [1] * grid.dim
-        shape[a] = grid.shape[a]
-        k2 = k2 + (k**2).reshape(shape)
-    out = np.fft.ifftn(spec * (-k2))
+    out = np.fft.ifftn(np.fft.fftn(values) * (-grid.k_squared()))
     if not np.iscomplexobj(values):
         return out.real
     return out
@@ -79,23 +70,6 @@ def fd_laplacian(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
             -f_p2 + 16.0 * f_p1 - 30.0 * values + 16.0 * f_m1 - f_m2
         ) / (12.0 * grid.dx[a] ** 2)
     return out
-
-
-def gradient(values: np.ndarray, grid: SpatialGrid, axis: int = 0, method: str = "spectral") -> np.ndarray:
-    """Derivative along one axis; ``method`` is 'spectral' or 'fd4'."""
-    if method == "spectral":
-        return spectral_gradient(values, grid, axis)
-    if method == "fd4":
-        return fd_gradient(values, grid, axis)
-    raise ValueError(f"unknown differentiation method {method!r}")
-
-
-def laplacian(values: np.ndarray, grid: SpatialGrid, method: str = "spectral") -> np.ndarray:
-    if method == "spectral":
-        return spectral_laplacian(values, grid)
-    if method == "fd4":
-        return fd_laplacian(values, grid)
-    raise ValueError(f"unknown differentiation method {method!r}")
 
 
 def wrap_angle(x: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from scipy import ndimage
 from .errors import BundleCrossingError, InsufficientBundleError
 from .fields import to_polar
 from .schrodinger import FreePotential, Potential
-from .trajectories import GuidingField, Trajectory, integrate_ensemble
+from .trajectories import Trajectory, _as_guiding_field, integrate_ensemble
 
 _TWO_PI = 2.0 * np.pi
 
@@ -59,8 +59,7 @@ def build_bundle(snapshots, x0, k: int, delta: float, dt_traj: float,
                  mass: float = 1.0, hbar: float = 1.0,
                  node_eps: float = 1e-6) -> Bundle:
     """Integrate the center and its 2k-per-axis neighbors under one field."""
-    gf = snapshots if isinstance(snapshots, GuidingField) else \
-        GuidingField(snapshots, mass=mass, hbar=hbar, node_eps=node_eps)
+    gf = _as_guiding_field(snapshots, mass, hbar, node_eps)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = gf.grid.dim
     if k < 0:
@@ -292,20 +291,18 @@ def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
     center, and compared to the solver's polar field along the same path.
     All deltas must be grid-resolvable (delta >= 2 dx).
     """
-    gf = snapshots if isinstance(snapshots, GuidingField) else \
-        GuidingField(snapshots, mass=mass, hbar=hbar, node_eps=node_eps)
+    gf = _as_guiding_field(snapshots, mass, hbar, node_eps)
     deltas = list(deltas)
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
     min_dx = float(np.min(gf.grid.dx))
     if any(d < 2.0 * min_dx for d in deltas):
         raise ValueError("every delta must satisfy delta >= 2 dx")
-    raw_snapshots = snapshots if not isinstance(snapshots, GuidingField) else None
-    if raw_snapshots is None:
+    if gf is snapshots:
         raise ValueError("bundle_convergence needs the raw snapshot list "
                          "for its oracle")
 
-    polar0 = to_polar(raw_snapshots[0], node_eps=node_eps, hbar=hbar)
+    polar0 = to_polar(snapshots[0], node_eps=node_eps, hbar=hbar)
 
     def r0_fn(points):
         coords = gf.grid.to_fractional_index(points).T
@@ -322,9 +319,8 @@ def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
         bundle = build_bundle(gf, x0, k, delta, dt_traj)
         s0 = s0_at(bundle.center.positions[0])
         rec = reconstruct_along_center(bundle, potential, mass, hbar, s0, r0_fn)
-        s_oracle, r_oracle = polar_along_trajectory(raw_snapshots,
-                                                    bundle.center, hbar,
-                                                    node_eps)
+        s_oracle, r_oracle = polar_along_trajectory(snapshots, bundle.center,
+                                                    hbar, node_eps)
         err_s = _relative_l2(rec.action, s_oracle)
         err_r = _relative_l2(rec.amplitude, r_oracle)
         if prev is None:

@@ -71,13 +71,11 @@ class Check:
 class Key:
     """One config leaf: expected type, optional range check, optional choices."""
 
-    def __init__(self, type_, required=True, check=None, choices=None,
-                 describe=""):
+    def __init__(self, type_, required=True, check=None, choices=None):
         self.type_ = type_
         self.required = required
         self.check = check
         self.choices = choices
-        self.describe = describe
 
 
 def _type_ok(value, type_):
@@ -155,7 +153,6 @@ _ENSEMBLE = {
 }
 _OUTPUT = {
     "directory": Key(str),
-    "formats": Key(("list", str), required=False),
 }
 
 
@@ -173,13 +170,13 @@ def _build_potential(cfg):
     return HarmonicPotential(pot["omega"], mass=cfg["physics"]["mass"])
 
 
-def _prop_config(cfg, check_stride=True):
+def _prop_config(cfg):
     run = cfg["run"]
     steps = int(round(run["T"] / run["dt"]))
     if abs(steps * run["dt"] - run["T"]) > 1e-9 * run["T"]:
         raise ConfigError("run.T must be an integer multiple of run.dt",
                           path="run.T")
-    if check_stride and steps % run["snapshot_stride"] != 0:
+    if steps % run["snapshot_stride"] != 0:
         raise ConfigError("run.snapshot_stride must divide the step count",
                           path="run.snapshot_stride")
     return PropagatorConfig(
@@ -207,6 +204,19 @@ def _record_stride(cfg):
     return int(round(ratio))
 
 
+def _ks_rows(ens, snaps):
+    """Per ensemble record: (t, KS distance to the nearest snapshot's
+    |psi|^2, halted fraction)."""
+    snap_times = np.array([s.time for s in snaps])
+    rows = []
+    for r, t in enumerate(ens.times):
+        k = int(np.argmin(np.abs(snap_times - t)))
+        ks = ks_statistic(ens.positions[r][ens.alive_at(r), 0],
+                          density(snaps[k]))
+        rows.append((t, ks, ens.halted_fraction))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # scenario runners (each returns (checks, artifact relative paths))
 
@@ -226,14 +236,8 @@ def _run_equivariance(cfg, out):
                              record_stride=_record_stride(cfg),
                              seed=cfg["ensemble"]["seed"],
                              sampler=cfg["ensemble"]["sampler"])
-    ks_rows = []
-    worst_ks = 0.0
-    for r, t in enumerate(ens.times):
-        k = int(np.argmin(np.abs(np.array([s.time for s in snaps]) - t)))
-        alive = ens.alive_at(r)
-        ks = ks_statistic(ens.positions[r][alive, 0], density(snaps[k]))
-        worst_ks = max(worst_ks, ks)
-        ks_rows.append((t, ks, ens.halted_fraction))
+    ks_rows = _ks_rows(ens, snaps)
+    worst_ks = max(ks for _, ks, _ in ks_rows)
     checks = [
         Check("born_sampling_gof_p", p_val > 0.01, p_val, "> 0.01"),
         Check("ks_all_dump_times", worst_ks < 0.02, worst_ks, "< 0.02"),
@@ -356,14 +360,7 @@ def _run_double_slit(cfg, out):
               ">= 3 within one bin"),
         Check("norm_drift", norm_drift < 1e-10, norm_drift, "< 1e-10"),
     ]
-    ks_rows = []
-    for r, t in enumerate(ens.times):
-        k = int(np.argmin(np.abs(np.array([s.time for s in snaps]) - t)))
-        alive = ens.alive_at(r)
-        ks_rows.append((t, ks_statistic(ens.positions[r][alive, 0],
-                                        density(snaps[k])),
-                        ens.halted_fraction))
-    pwio.dump_ensemble_stats(out / "ensemble_stats.csv", ks_rows)
+    pwio.dump_ensemble_stats(out / "ensemble_stats.csv", _ks_rows(ens, snaps))
     pwio.dump_table(out / "histogram.csv", ["q", "count"],
                     list(zip(centers, hist.astype(float))))
     pwio.dump_wave_field(out / "field_final.csv", snaps[-1])

@@ -272,22 +272,27 @@ class EnsembleResult:
         return [self.trajectory(i) for i in range(self.n)]
 
 
-def _rk4_step(gf: GuidingField, x: np.ndarray, t: float, dt: float):
-    v1, f1 = gf.velocity(x, t)
-    v2, f2 = gf.velocity(x + 0.5 * dt * v1, t + 0.5 * dt)
-    v3, f3 = gf.velocity(x + 0.5 * dt * v2, t + 0.5 * dt)
-    v4, f4 = gf.velocity(x + dt * v3, t + dt)
-    x_new = x + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-    return x_new, f1 | f2 | f3 | f4, v1
+def _rk4_step(f, x: np.ndarray, t: float, dt: float):
+    """One classical RK4 step of dx/dt = f(x, t)[0].
+
+    ``f`` returns (dx/dt, flags); the step returns the new state, the OR of
+    the four stage flags, and the start-point slope k1.
+    """
+    k1, f1 = f(x, t)
+    k2, f2 = f(x + 0.5 * dt * k1, t + 0.5 * dt)
+    k3, f3 = f(x + 0.5 * dt * k2, t + 0.5 * dt)
+    k4, f4 = f(x + dt * k3, t + dt)
+    x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x_new, f1 | f2 | f3 | f4, k1
 
 
-def _substep_chain(gf, x, t, dt, parts):
+def _substep_chain(f, x, t, dt, parts):
     """Advance by dt in ``parts`` equal substeps; flag if any substep flags."""
     xi = x
     flagged = np.zeros(x.shape[0], dtype=bool)
     sub = dt / parts
     for p in range(parts):
-        xi_new, fl, _ = _rk4_step(gf, xi, t + p * sub, sub)
+        xi_new, fl, _ = _rk4_step(f, xi, t + p * sub, sub)
         flagged |= fl
         xi = np.where(fl[:, None], xi, xi_new)
     return xi, flagged
@@ -346,23 +351,24 @@ def integrate_ensemble(gf: GuidingField, x0: np.ndarray, t0: float, t1: float,
         t = t0 + step * dt_eff
         if active.any():
             xa = x[active]
-            x_new, flagged, _ = _rk4_step(gf, xa, t, dt_eff)
-            if flagged.any():
-                # retry the gated members at dt/2, then dt/4, then halt
-                idx = np.where(flagged)[0]
-                x_half, fl_half = _substep_chain(gf, xa[idx], t, dt_eff, 2)
-                still = np.where(fl_half)[0]
-                if still.size:
-                    x_q, fl_q = _substep_chain(gf, xa[idx][still], t, dt_eff, 4)
-                    x_half[still] = np.where(fl_q[:, None], xa[idx][still], x_q)
-                    fl_half[still] = fl_q
-                x_new[idx] = x_half
-                halted_global = np.where(active)[0][idx[fl_half]]
+            # try dt, then retry the gated members at dt/2 and dt/4, each
+            # time from the step start
+            x_new = np.empty_like(xa)
+            todo = slice(None)  # members of xa still to advance
+            for parts in (1, 2, 4):
+                x_new[todo], fl = _substep_chain(gf.velocity, xa[todo], t,
+                                                 dt_eff, parts)
+                todo = np.arange(xa.shape[0])[todo][fl]
+                if todo.size == 0:
+                    break
+            else:
+                # gated at every resolution: halt at the step start
+                x_new[todo] = xa[todo]
+                halted_global = np.where(active)[0][todo]
                 status[halted_global] = 1
                 halt_times[halted_global] = t
             x[active] = x_new
-            if flagged.any():
-                active = status == 0
+            active = status == 0
         r = rec_map.get(step + 1)
         if r is not None:
             positions[r] = x
@@ -383,22 +389,17 @@ def _as_guiding_field(snapshots, mass, hbar, node_eps):
 
 
 def integrate_trajectory(snapshots, x0, dt_traj: float, mass: float = 1.0,
-                         hbar: float = 1.0, node_eps: float = 1e-6,
-                         t0: float | None = None, t1: float | None = None,
-                         record_velocities: bool = True) -> Trajectory:
+                         hbar: float = 1.0,
+                         node_eps: float = 1e-6) -> Trajectory:
     """Integrate a single guided trajectory through the snapshot window."""
     gf = _as_guiding_field(snapshots, mass, hbar, node_eps)
-    if t0 is None:
-        t0 = float(gf.times[0])
-    if t1 is None:
-        t1 = float(gf.times[-1])
     if len(gf.times) > 1:
         max_gap = float(np.max(np.diff(gf.times)))
         if dt_traj > max_gap * (1 + 1e-12):
             raise ValueError("dt_traj must not exceed the snapshot spacing")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))[None]
-    res = integrate_ensemble(gf, x0, t0, t1, dt_traj,
-                             record_velocities=record_velocities)
+    res = integrate_ensemble(gf, x0, float(gf.times[0]), float(gf.times[-1]),
+                             dt_traj, record_velocities=True)
     return res.trajectory(0)
 
 

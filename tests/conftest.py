@@ -1,5 +1,4 @@
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +7,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import pilotwave as pw
+from pilotwave.scenarios import load_config, run_scenario
 
-warnings.simplefilter("ignore", pw.StepSizeWarning)
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +28,20 @@ def free_gaussian_run(grid1d):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(scope="session")
+def config_runs(tmp_path_factory):
+    """Every committed config run once: {scenario: (report, output dir)}.
+
+    Shared by the golden check-value test and the determinism criterion,
+    which reruns each config and compares against these outputs.
+    """
+    root = tmp_path_factory.mktemp("config_runs")
+    runs = {}
+    for path in sorted(CONFIG_DIR.glob("*.yaml")):
+        cfg = load_config(path)
+        cfg["output"]["directory"] = str(root / path.stem)
+        report = run_scenario(cfg)
+        runs[report["scenario"]] = (report, root / path.stem)
+    return runs

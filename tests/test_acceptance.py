@@ -242,21 +242,22 @@ def test_criterion_10_continuity_self_convergence(grid1d):
           f"(want 4 +/- 20%)")
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(config_runs, tmp_path):
     from pathlib import Path
 
     config_dir = Path(__file__).parent.parent / "configs"
     identical = True
     compared = 0
-    for name in ("holland-nonuniqueness", "continuity-residual"):
+    for name, (report_a, dir_a) in sorted(config_runs.items()):
         cfg = load_config(config_dir / f"{name}.yaml")
-        for tag in ("a", "b"):
-            cfg["output"]["directory"] = str(tmp_path / name / tag)
-            run_scenario(cfg)
-        dir_a, dir_b = tmp_path / name / "a", tmp_path / name / "b"
+        dir_b = tmp_path / name
+        cfg["output"]["directory"] = str(dir_b)
+        if run_scenario(cfg)["checks"] != report_a["checks"]:
+            identical = False
         for f in sorted(dir_a.glob("*.csv")):
             compared += 1
             if f.read_bytes() != (dir_b / f.name).read_bytes():
                 identical = False
     _line(11, identical and compared > 0,
-          f"fixed-seed reruns bit-identical across {compared} CSV files")
+          f"fixed-seed reruns of {len(config_runs)} configs bit-identical "
+          f"across {compared} CSV files and their check values")
