@@ -19,7 +19,7 @@ from scipy.interpolate import CubicSpline
 from .errors import CausticDetectedError, UndefinedGradientError
 from .grid import SpatialGrid
 from .schrodinger import FreePotential, Potential
-from .trajectories import Trajectory, _rk4_step
+from .trajectories import Trajectory, _integrate, _rk4_step
 
 
 def _as_points(q) -> np.ndarray:
@@ -33,8 +33,6 @@ def _as_points(q) -> np.ndarray:
 
 class ActionField:
     """Scalar action on configuration space with closed-form partials."""
-
-    form = "custom"
 
     def evaluate(self, q, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -51,8 +49,6 @@ class ActionField:
 
 class PlaneWaveAction(ActionField):
     """S(q, t) = P.q - |P|^2 t / (2m) + S0."""
-
-    form = "planeWave"
 
     def __init__(self, momentum, mass: float = 1.0, offset: float = 0.0):
         self.momentum = np.atleast_1d(np.asarray(momentum, dtype=float))
@@ -79,19 +75,19 @@ class CircularAction(ActionField):
 
     The gradient m (q - center) / t is undefined at t = 0: started exactly
     there, the field selects no momentum at the center and an explicit P0
-    must be supplied to the integrator.
+    must be supplied to the integrator. ``t`` may be a scalar or one time
+    per query point.
     """
-
-    form = "circular"
 
     def __init__(self, center, mass: float = 1.0):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.mass = float(mass)
 
     def _check_time(self, t):
-        if t <= 0.0:
+        t_min = t if np.isscalar(t) else np.min(t)
+        if t_min <= 0.0:
             raise UndefinedGradientError(
-                f"circular action is singular at t = {t:g} (needs t > 0)"
+                f"circular action is singular at t = {t_min:g} (needs t > 0)"
             )
 
     def evaluate(self, q, t):
@@ -103,7 +99,8 @@ class CircularAction(ActionField):
     def gradient(self, q, t):
         self._check_time(t)
         pts = _as_points(q)
-        return self.mass * (pts - self.center) / t
+        return self.mass * (pts - self.center) / (
+            t if np.isscalar(t) else np.asarray(t)[:, None])
 
     def time_derivative(self, q, t):
         self._check_time(t)
@@ -121,8 +118,6 @@ class TransportedAction(ActionField):
     Cubic in space on each record, linear between records. Defined only on
     the convex hull of the characteristic positions within the time window.
     """
-
-    form = "gridTransported"
 
     def __init__(self, times: np.ndarray, positions: list[np.ndarray],
                  values: list[np.ndarray]):
@@ -201,7 +196,10 @@ class ClassicalState:
 
 def hj_residual(action: ActionField, q, t, mass: float = 1.0,
                 potential: Potential | None = None) -> np.ndarray:
-    """Residual of dS/dt + |grad S|^2 / 2m + V at points (q, t scalar)."""
+    """Residual of dS/dt + |grad S|^2 / 2m + V at points q.
+
+    ``t`` is a scalar or, for the closed-form actions, one time per point.
+    """
     if potential is None:
         potential = FreePotential()
     pts = _as_points(q)
@@ -210,49 +208,30 @@ def hj_residual(action: ActionField, q, t, mass: float = 1.0,
     return action.time_derivative(pts, t) + kin + potential.at(pts)
 
 
-def classical_trajectory(state: ClassicalState, t_end: float, dt: float,
-                         record_stride: int = 1) -> Trajectory:
+def classical_trajectory(state: ClassicalState, t_end: float,
+                         dt: float) -> Trajectory:
     """RK4 on dQ/dt = grad S(Q, t) / m from (q0, t0) to t_end.
 
-    Where the gradient is undefined (the circular action at t = 0) the
-    velocity falls back to p0/m; without p0 this raises
-    UndefinedGradientError — the pathological start the circular family is
-    known for.
+    The path is a one-member batch of the loop that moves guided ensembles;
+    only the velocity field differs. Where the gradient is undefined (the
+    circular action at t = 0) the velocity falls back to p0/m; without p0
+    this raises UndefinedGradientError — the pathological start the
+    circular family is known for.
     """
     action = state.action
     mass = getattr(action, "mass", None) or 1.0
-
-    def velocity(q, t):
-        if not action.gradient_defined(q, t):
-            if state.p0 is None:
-                raise UndefinedGradientError(
-                    f"action gradient undefined at t = {t:g} and no p0 given"
-                )
-            return state.p0 / mass
-        return action.gradient(q, t)[0] / mass
+    unflagged = np.zeros(1, dtype=bool)
 
     def flow(q, t):
-        return velocity(q, t), False
+        if action.gradient_defined(q, t):
+            return action.gradient(q, t) / mass, unflagged
+        if state.p0 is None:
+            raise UndefinedGradientError(
+                f"action gradient undefined at t = {t:g} and no p0 given")
+        return state.p0[None] / mass, unflagged
 
-    span = t_end - state.t0
-    if span < 0:
-        raise ValueError("t_end must be >= t0")
-    n_steps = max(1, int(round(span / dt))) if span > 0 else 0
-    dt_eff = span / n_steps if n_steps else 0.0
-    q = state.q0.copy()
-    times = [state.t0]
-    path = [q.copy()]
-    vels = [velocity(q, state.t0)]
-    for step in range(n_steps):
-        t = state.t0 + step * dt_eff
-        q = _rk4_step(flow, q, t, dt_eff)[0]
-        if (step + 1) % record_stride == 0 or step + 1 == n_steps:
-            t_next = state.t0 + (step + 1) * dt_eff
-            times.append(t_next)
-            path.append(q.copy())
-            vels.append(velocity(q, t_next))
-    return Trajectory(np.array(times), np.array(path),
-                      velocities=np.array(vels))
+    return _integrate(flow, state.q0[None], state.t0, t_end, dt,
+                      record_velocities=True).trajectory(0)
 
 
 @dataclass
@@ -411,14 +390,12 @@ def semiclassical_compare(psi_family: dict[float, "WaveField"],
                           classical_state: ClassicalState,
                           potential: Potential, t_end: float, dt: float,
                           dt_traj: float, snapshot_stride: int,
-                          mass: float = 1.0,
-                          assert_monotone: bool = False) -> SemiclassicalSweep:
+                          mass: float = 1.0) -> SemiclassicalSweep:
     """Max trajectory distance between guided and classical motion per hbar.
 
     Each family member shares the initial amplitude and action with the
     classical preparation; only the dynamics scale with hbar. Entries run
-    in decreasing-hbar order; with ``assert_monotone`` a non-decreasing
-    error curve raises ValueError.
+    in decreasing-hbar order.
     """
     from .errors import PreparationMismatchError
     from .schrodinger import PropagatorConfig, propagate
@@ -455,12 +432,8 @@ def semiclassical_compare(psi_family: dict[float, "WaveField"],
                 f"guided trajectory halted at t = {traj.halt_time:g} for "
                 f"hbar = {hbar:g}; start the comparison inside the packet"
             )
-        qc = np.array([
-            np.interp(t, c_traj.times, c_traj.positions[:, a])
-            for t in traj.times for a in range(traj.positions.shape[1])
-        ]).reshape(len(traj.times), -1)
+        qc = np.column_stack([
+            np.interp(traj.times, c_traj.times, c_traj.positions[:, a])
+            for a in range(traj.positions.shape[1])])
         errors.append(float(np.max(np.linalg.norm(traj.positions - qc, axis=1))))
-    sweep = SemiclassicalSweep(hbars, errors)
-    if assert_monotone and not sweep.monotone_decreasing:
-        raise ValueError(f"semiclassical error curve is not decreasing: {errors}")
-    return sweep
+    return SemiclassicalSweep(hbars, errors)

@@ -7,9 +7,9 @@ Field files start with a single comment header
 (multi-axis values comma-separated), followed by rows ``q[,q2],re,im`` for
 complex fields or ``q[,q2],value`` for real ones. All floats are written
 with 17 significant digits, which round-trips IEEE doubles bit-exactly.
-Field rows go through one ``np.savetxt(fmt="%.17g")`` call; ``"%.17g" % x``
-is the same text as ``format(x, ".17g")`` used for headers and tables, so
-every file shares one float format.
+Rows go through ``np.savetxt(fmt="%.17g")``; ``"%.17g" % x`` is the same
+text as ``format(x, ".17g")`` used for headers and the convergence table
+(whose undefined slopes stay blank), so every file shares one float format.
 """
 
 import numpy as np
@@ -81,19 +81,16 @@ def dump_trajectories(path, trajectories) -> None:
     """Rows ``traj_id,t,q1[,q2],halted`` with halted as 0/1."""
     with open(path, "w") as fh:
         for tid, traj in enumerate(trajectories):
-            halted = 1 if traj.halted else 0
-            for t, pos in zip(traj.times, traj.positions):
-                parts = [str(tid), _fmt(t)]
-                parts.extend(_fmt(c) for c in pos)
-                parts.append(str(halted))
-                fh.write(",".join(parts) + "\n")
+            n, dim = traj.positions.shape
+            cols = [np.full(n, tid), traj.times, traj.positions,
+                    np.full(n, traj.halted)]
+            np.savetxt(fh, np.column_stack(cols), delimiter=",",
+                       fmt=["%d"] + ["%.17g"] * (dim + 1) + ["%d"])
 
 
 def dump_ensemble_stats(path, rows) -> None:
     """Rows ``t,ks_stat,halted_frac``."""
-    with open(path, "w") as fh:
-        for t, ks, frac in rows:
-            fh.write(f"{_fmt(t)},{_fmt(ks)},{_fmt(frac)}\n")
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",")
 
 
 def dump_convergence_table(path, rows) -> None:
@@ -107,7 +104,5 @@ def dump_convergence_table(path, rows) -> None:
 
 def dump_table(path, header_cols, rows) -> None:
     """Generic helper: comment header naming the columns, then float rows."""
-    with open(path, "w") as fh:
-        fh.write("# " + ",".join(header_cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+               header=",".join(header_cols), comments="# ")

@@ -239,26 +239,24 @@ def polar_along_trajectory(snapshots, traj: Trajectory, hbar: float = 1.0,
                            node_eps: float = 1e-6):
     """Solver-side oracle: (S, R) of the propagated field sampled on a path.
 
-    Each snapshot is polar-decomposed, S and R are cubic-interpolated at the
-    path position nearest in time (non-periodic spline; callers keep paths
-    mid-box), and the S series is unwrapped in time to remove inter-snapshot
-    branch offsets.
+    Each path record reads the snapshot nearest in time. That snapshot is
+    polar-decomposed once, and S and R are cubic-interpolated at all the
+    path positions that read it (non-periodic spline; callers keep paths
+    mid-box). The S series is then unwrapped in time to remove
+    inter-snapshot branch offsets.
     """
-    grid = snapshots[0].grid
     snap_times = np.array([s.time for s in snapshots])
+    nearest = np.argmin(np.abs(snap_times - traj.times[:, None]), axis=1)
+    coords = snapshots[0].grid.to_fractional_index(traj.positions).T
     s_out = np.empty(len(traj.times))
     r_out = np.empty(len(traj.times))
-    polar_cache = {}
-    for i, (t, pos) in enumerate(zip(traj.times, traj.positions)):
-        k = int(np.argmin(np.abs(snap_times - t)))
-        if k not in polar_cache:
-            polar_cache[k] = to_polar(snapshots[k], node_eps=node_eps, hbar=hbar)
-        polar = polar_cache[k]
-        coords = grid.to_fractional_index(pos)[:, None]
-        s_out[i] = ndimage.map_coordinates(polar.S, coords, order=3,
-                                           mode="nearest")[0]
-        r_out[i] = ndimage.map_coordinates(polar.R, coords, order=3,
-                                           mode="nearest")[0]
+    for k in np.unique(nearest):
+        polar = to_polar(snapshots[k], node_eps=node_eps, hbar=hbar)
+        at = nearest == k
+        s_out[at] = ndimage.map_coordinates(polar.S, coords[:, at], order=3,
+                                            mode="nearest")
+        r_out[at] = ndimage.map_coordinates(polar.R, coords[:, at], order=3,
+                                            mode="nearest")
     s_out = np.unwrap(s_out, period=_TWO_PI * hbar)
     return s_out, r_out
 

@@ -265,10 +265,8 @@ def _run_holland(cfg, out):
     ts = rng.uniform(cl["t_start"], cfg["run"]["T"], 1000)
     plane = PlaneWaveAction([cl["momentum"]], cfg["physics"]["mass"])
     circ = CircularAction([cl["q0"]], cfg["physics"]["mass"])
-    res_p = max(abs(float(hj_residual(plane, pts[i], float(ts[i]))[0]))
-                for i in range(1000))
-    res_c = max(abs(float(hj_residual(circ, pts[i], float(ts[i]))[0]))
-                for i in range(1000))
+    res_p = float(np.max(np.abs(hj_residual(plane, pts, ts))))
+    res_c = float(np.max(np.abs(hj_residual(circ, pts, ts))))
     checks = [
         Check("trajectory_max_deviation", rep.max_deviation < 1e-8,
               rep.max_deviation, "< 1e-8"),
@@ -335,7 +333,8 @@ def _run_double_slit(cfg, out):
     mid = float(0.5 * (grid.qmin[0] + grid.qmax[0]))
     crossings = count_axis_crossings(ens, mid)
     rho_t = density(snaps[-1])
-    ks_final = ks_statistic(ens.positions[-1][ens.alive_at(-1), 0], rho_t)
+    ks_rows = _ks_rows(ens, snaps)
+    ks_final = ks_rows[-1][1]
 
     hist_cfg = cfg["histogram"]
     edges = np.linspace(hist_cfg["qmin"], hist_cfg["qmax"],
@@ -360,7 +359,7 @@ def _run_double_slit(cfg, out):
               ">= 3 within one bin"),
         Check("norm_drift", norm_drift < 1e-10, norm_drift, "< 1e-10"),
     ]
-    pwio.dump_ensemble_stats(out / "ensemble_stats.csv", _ks_rows(ens, snaps))
+    pwio.dump_ensemble_stats(out / "ensemble_stats.csv", ks_rows)
     pwio.dump_table(out / "histogram.csv", ["q", "count"],
                     list(zip(centers, hist.astype(float))))
     pwio.dump_wave_field(out / "field_final.csv", snaps[-1])
@@ -419,12 +418,8 @@ def _run_reconstruction(cfg, out):
                             PlaneWaveAction([p0], mass), p0=[p0])
     ctraj = classical_trajectory(cstate, cfg["run"]["T"], cfg["run"]["dt_traj"])
     _, s_line = classical_reconstruct(ctraj, pot, mass, s0=0.0)
-    action = PlaneWaveAction([p0], mass)
-    s_oracle = np.array([
-        float(action.evaluate(ctraj.positions[i], ctraj.times[i])[0]
-              - action.evaluate(ctraj.positions[0], ctraj.times[0])[0])
-        for i in range(len(ctraj.times))
-    ])
+    s_along = cstate.action.evaluate(ctraj.positions, ctraj.times)
+    s_oracle = s_along - s_along[0]
     classical_err = float(np.max(np.abs(s_line - s_oracle)))
     checks = [
         Check("classical_single_trajectory_matches_action",

@@ -27,8 +27,6 @@ from .operators import spectral_gradient
 class Potential:
     """Time-independent external potential; subclasses provide values on a grid."""
 
-    kind = "custom"
-
     def as_field(self, grid: SpatialGrid) -> np.ndarray:
         raise NotImplementedError
 
@@ -38,8 +36,6 @@ class Potential:
 
 
 class FreePotential(Potential):
-    kind = "free"
-
     def as_field(self, grid):
         return np.zeros(grid.shape)
 
@@ -50,8 +46,6 @@ class FreePotential(Potential):
 
 class HarmonicPotential(Potential):
     """V = (m omega^2 / 2) |q - center|^2."""
-
-    kind = "harmonic"
 
     def __init__(self, omega: float, mass: float = 1.0, center=0.0):
         if omega <= 0:
@@ -92,7 +86,6 @@ class PropagatorConfig:
     mass: float = 1.0
     snapshot_stride: int = 1
     monitor_edges: bool = False
-    check_aliasing: bool = True
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -156,15 +149,14 @@ def propagate(psi0: WaveField, potential: Potential, cfg: PropagatorConfig) -> l
     v_phase = np.exp(-1j * v_field * cfg.dt / cfg.hbar)
 
     def checks(values, t):
-        if cfg.check_aliasing:
-            frac = _aliasing_fraction(values, grid)
-            if frac > 1e-8:
-                warnings.warn(
-                    f"k-space tail fraction {frac:.3e} at t={t:g} "
-                    "(momentum content near Nyquist)",
-                    AliasingWarning,
-                    stacklevel=3,
-                )
+        frac = _aliasing_fraction(values, grid)
+        if frac > 1e-8:
+            warnings.warn(
+                f"k-space tail fraction {frac:.3e} at t={t:g} "
+                "(momentum content near Nyquist)",
+                AliasingWarning,
+                stacklevel=3,
+            )
         if cfg.monitor_edges:
             leak = edge_band_max(values, grid, 0.10)
             if leak > 1e-10:

@@ -38,11 +38,11 @@ def ks_statistic(samples: np.ndarray, rho: RealField) -> float:
     return float(max(np.max(ecdf_hi - cdf), np.max(cdf - ecdf_lo)))
 
 
-def chi_square_gof(samples: np.ndarray, rho: RealField, min_expected: float = 5.0):
+def chi_square_gof(samples: np.ndarray, rho: RealField):
     """Chi-square goodness of fit of samples against a 1D grid density.
 
-    Bins are grid-aligned and merged until every expected count reaches
-    ``min_expected``. Returns (statistic, dof, p_value).
+    Bins are grid-aligned and merged until every expected count reaches 5.
+    Returns (statistic, dof, p_value).
     """
     q, F = grid_cdf_1d(rho)
     n = len(samples)
@@ -54,7 +54,7 @@ def chi_square_gof(samples: np.ndarray, rho: RealField, min_expected: float = 5.
     acc = 0.0
     for i, p in enumerate(probs):
         acc += p
-        if acc * n >= min_expected:
+        if acc * n >= 5.0:
             merged_edges.append(edges[i + 1])
             merged_probs.append(acc)
             acc = 0.0

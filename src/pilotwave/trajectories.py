@@ -13,6 +13,12 @@ buys little.
 Positions are integrated in unwrapped coordinates (displacements
 accumulate; fields are evaluated at the periodic image), so trajectory
 ordering is meaningful even when a path runs around the box.
+
+One private loop, ``_integrate``, moves every path: guided ensembles under
+``GuidingField.velocity`` and classical paths (``classical_trajectory``,
+a one-member batch) under grad(S)/m. The two theories differ in the field,
+not in how the particle is moved. A recorded velocity is the k1 the next
+step computes anyway, so recording costs one extra query, at the end.
 """
 
 from dataclasses import dataclass
@@ -217,9 +223,6 @@ class Trajectory:
     def halted(self) -> bool:
         return self.status == "halted"
 
-    def final_position(self) -> np.ndarray:
-        return self.positions[-1]
-
 
 @dataclass
 class EnsembleResult:
@@ -298,6 +301,72 @@ def _substep_chain(f, x, t, dt, parts):
     return xi, flagged
 
 
+def _integrate(f, x0: np.ndarray, t0: float, t1: float, dt: float,
+               record_stride: int = 1,
+               record_velocities: bool = False) -> EnsembleResult:
+    """RK4-integrate dx/dt = f(x, t)[0] for a batch x0 of shape (N, dim).
+
+    ``f`` returns (dx/dt, flags), the contract of ``_rk4_step``. A member
+    whose step raises a flag is retried at dt/2 and dt/4 from the step
+    start; if still flagged it halts there (halts are data, not errors).
+    The velocity recorded at a step start is that step's k1 (zero for
+    halted members); only the final record makes its own query. t1 == t0
+    or an empty batch takes no step.
+    """
+    n, dim = x0.shape
+    span = t1 - t0
+    if span < 0:
+        raise ValueError("t1 must be >= t0")
+    n_steps = max(1, int(round(span / dt))) if span > 0 and n > 0 else 0
+    dt_eff = span / n_steps if n_steps else 0.0
+
+    record_idx = list(range(0, n_steps + 1, record_stride))
+    if record_idx[-1] != n_steps:
+        record_idx.append(n_steps)
+    rec_map = {s: r for r, s in enumerate(record_idx)}
+    positions = np.empty((len(record_idx), n, dim))
+    velocities = np.zeros_like(positions) if record_velocities else None
+    status = np.zeros(n, dtype=int)
+    halt_times = np.full(n, np.nan)
+
+    x = x0.copy()
+    active = np.ones(n, dtype=bool)
+    for step in range(n_steps + 1):
+        t = t0 + step * dt_eff
+        r = rec_map.get(step)
+        if r is not None:
+            positions[r] = x
+        if not active.any():
+            continue
+        xa = x[active]
+        if step == n_steps:
+            if record_velocities:
+                velocities[r, active] = f(xa, t)[0]
+            break
+        x_new, fl, k1 = _rk4_step(f, xa, t, dt_eff)
+        if r is not None and record_velocities:
+            velocities[r, active] = k1
+        # retry the flagged members at dt/2 and dt/4, each time from the
+        # step start
+        todo = np.flatnonzero(fl)
+        for parts in (2, 4):
+            if todo.size == 0:
+                break
+            x_new[todo], fl = _substep_chain(f, xa[todo], t, dt_eff, parts)
+            todo = todo[fl]
+        if todo.size:
+            # flagged at every resolution: halt at the step start
+            x_new[todo] = xa[todo]
+            halted = np.flatnonzero(active)[todo]
+            status[halted] = 1
+            halt_times[halted] = t
+        x[active] = x_new
+        active = status == 0
+    times = np.array([t0 + s * dt_eff for s in record_idx])
+    return EnsembleResult(times=times, positions=positions, status=status,
+                          halt_times=halt_times, velocities=velocities)
+
+
 def integrate_ensemble(gf: GuidingField, x0: np.ndarray, t0: float, t1: float,
                        dt: float, record_stride: int = 1,
                        record_velocities: bool = False,
@@ -311,75 +380,13 @@ def integrate_ensemble(gf: GuidingField, x0: np.ndarray, t0: float, t1: float,
     the initial positions unchanged.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    n, dim = x0.shape
-    if dim != gf.grid.dim:
+    if x0.shape[1] != gf.grid.dim:
         raise ValueError("starting points do not match the grid dimension")
-    span = t1 - t0
-    if span < 0:
-        raise ValueError("t1 must be >= t0")
-    if span == 0 or n == 0:
-        vel0 = None
-        if record_velocities and n > 0:
-            vel0 = gf.velocity(x0, t0)[0][None]
-        return EnsembleResult(
-            times=np.array([t0]), positions=x0[None].copy(),
-            status=np.zeros(n, dtype=int), halt_times=np.full(n, np.nan),
-            seed=seed, sampler=sampler, velocities=vel0,
-        )
-    n_steps = max(1, int(round(span / dt)))
-    dt_eff = span / n_steps
-
-    record_idx = list(range(0, n_steps + 1, record_stride))
-    if record_idx[-1] != n_steps:
-        record_idx.append(n_steps)
-    rec_map = {s: r for r, s in enumerate(record_idx)}
-    n_rec = len(record_idx)
-
-    positions = np.empty((n_rec, n, dim))
-    velocities = np.empty((n_rec, n, dim)) if record_velocities else None
-    times_rec = np.array([t0 + s * dt_eff for s in record_idx])
-    status = np.zeros(n, dtype=int)
-    halt_times = np.full(n, np.nan)
-
-    x = x0.copy()
-    positions[0] = x
-    if record_velocities:
-        velocities[0] = gf.velocity(x, t0)[0]
-
-    active = np.ones(n, dtype=bool)
-    for step in range(n_steps):
-        t = t0 + step * dt_eff
-        if active.any():
-            xa = x[active]
-            # try dt, then retry the gated members at dt/2 and dt/4, each
-            # time from the step start
-            x_new = np.empty_like(xa)
-            todo = slice(None)  # members of xa still to advance
-            for parts in (1, 2, 4):
-                x_new[todo], fl = _substep_chain(gf.velocity, xa[todo], t,
-                                                 dt_eff, parts)
-                todo = np.arange(xa.shape[0])[todo][fl]
-                if todo.size == 0:
-                    break
-            else:
-                # gated at every resolution: halt at the step start
-                x_new[todo] = xa[todo]
-                halted_global = np.where(active)[0][todo]
-                status[halted_global] = 1
-                halt_times[halted_global] = t
-            x[active] = x_new
-            active = status == 0
-        r = rec_map.get(step + 1)
-        if r is not None:
-            positions[r] = x
-            if record_velocities:
-                v_rec = np.zeros((n, dim))
-                if active.any():
-                    v_rec[active] = gf.velocity(x[active], t0 + (step + 1) * dt_eff)[0]
-                velocities[r] = v_rec
-    return EnsembleResult(times=times_rec, positions=positions, status=status,
-                          halt_times=halt_times, seed=seed, sampler=sampler,
-                          velocities=velocities)
+    res = _integrate(gf.velocity, x0, t0, t1, dt, record_stride,
+                     record_velocities)
+    res.seed = seed
+    res.sampler = sampler
+    return res
 
 
 def _as_guiding_field(snapshots, mass, hbar, node_eps):
@@ -410,14 +417,6 @@ def propagate_ensemble(snapshots, x0s: np.ndarray, dt_traj: float,
                        sampler: str = "explicit") -> EnsembleResult:
     """Integrate all members of an ensemble through the snapshot window."""
     gf = _as_guiding_field(snapshots, mass, hbar, node_eps)
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    if x0s.shape[0] == 0:
-        return EnsembleResult(
-            times=np.array([float(gf.times[0])]),
-            positions=np.empty((1, 0, gf.grid.dim)),
-            status=np.zeros(0, dtype=int), halt_times=np.zeros(0),
-            seed=seed, sampler=sampler,
-        )
     return integrate_ensemble(gf, x0s, float(gf.times[0]), float(gf.times[-1]),
                               dt_traj, record_stride=record_stride, seed=seed,
                               sampler=sampler)
@@ -437,13 +436,12 @@ class DivergenceReport:
 
 def divergence_experiment(snaps_a, snaps_b, q0, dt_traj: float,
                           mass: float = 1.0, hbar: float = 1.0,
-                          node_eps: float = 1e-6,
-                          grad_tol: float = 1e-8) -> DivergenceReport:
+                          node_eps: float = 1e-6) -> DivergenceReport:
     """Separation of trajectories from one starting point under two
     preparations that share the initial phase gradient.
 
     ``snaps_a`` / ``snaps_b`` are snapshot sequences from two propagation
-    runs whose initial states must satisfy |grad S_a - grad S_b| < grad_tol
+    runs whose initial states must satisfy |grad S_a - grad S_b| < 1e-8
     at q0 (checked via m * velocity); PreparationMismatchError otherwise.
     """
     gf_a = _as_guiding_field(snaps_a, mass, hbar, node_eps)
@@ -454,10 +452,9 @@ def divergence_experiment(snaps_a, snaps_b, q0, dt_traj: float,
     if fa.any() or fb.any():
         raise PreparationMismatchError("q0 sits in a node gate of a preparation")
     grad_gap = mass * float(np.linalg.norm(va[0] - vb[0]))
-    if grad_gap >= grad_tol:
+    if grad_gap >= 1e-8:
         raise PreparationMismatchError(
-            f"initial phase gradients differ by {grad_gap:.3e} >= {grad_tol:.3e}"
-        )
+            f"initial phase gradients differ by {grad_gap:.3e} >= 1e-8")
     traj_a = integrate_trajectory(gf_a, q0, dt_traj)
     traj_b = integrate_trajectory(gf_b, q0, dt_traj)
     m = min(len(traj_a.times), len(traj_b.times))
@@ -466,16 +463,15 @@ def divergence_experiment(snaps_a, snaps_b, q0, dt_traj: float,
                             trajectory_a=traj_a, trajectory_b=traj_b)
 
 
-def count_axis_crossings(result: EnsembleResult, axis_value: float = 0.0,
-                         axis: int | None = None) -> int:
-    """Number of members whose coordinate ever changes side of axis_value.
+def count_axis_crossings(result: EnsembleResult,
+                         axis_value: float = 0.0) -> int:
+    """Number of members whose last coordinate ever changes side of
+    axis_value.
 
     Members starting exactly on the axis are ignored (their side is
     undefined); halted members are checked up to their halt record.
     """
-    if axis is None:
-        axis = result.positions.shape[2] - 1
-    coord = result.positions[:, :, axis] - axis_value
+    coord = result.positions[:, :, -1] - axis_value
     start_side = np.sign(coord[0])
     relevant = start_side != 0
     crossed = np.zeros(result.n, dtype=bool)

@@ -152,8 +152,6 @@ def test_transported_continuity_second_order(gaussian_density):
 class FocusingAction(pw.ActionField):
     """Converging flow with a focal caustic at t = tc."""
 
-    form = "custom"
-
     def __init__(self, tc, mass=1.0):
         self.tc = tc
         self.mass = mass

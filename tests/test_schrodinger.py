@@ -134,7 +134,7 @@ def test_continuity_needs_three_snapshots(grid1d):
 def test_step_size_warning():
     g = pw.SpatialGrid(1024, (-20.0, 20.0))
     psi = pw.gaussian_packet(g, 0.0, 1.0)
-    cfg = pw.PropagatorConfig(dt=0.01, steps=1, check_aliasing=False)
+    cfg = pw.PropagatorConfig(dt=0.01, steps=1)
     with pytest.warns(pw.StepSizeWarning):
         pw.propagate(psi, pw.HarmonicPotential(1.0), cfg)
     # Strang splitting is exact for V == 0: the same dt is silent there
@@ -157,8 +157,7 @@ def test_aliasing_warning_near_nyquist():
 def test_edge_leak_warning():
     g = pw.SpatialGrid(256, (-8.0, 8.0))  # packet tails reach the edge band
     psi = pw.gaussian_packet(g, 0.0, 1.5)
-    cfg = pw.PropagatorConfig(dt=1e-4, steps=1, monitor_edges=True,
-                              check_aliasing=False)
+    cfg = pw.PropagatorConfig(dt=1e-4, steps=1, monitor_edges=True)
     with pytest.warns(pw.EdgeLeakWarning):
         pw.propagate(psi, pw.FreePotential(), cfg)
 

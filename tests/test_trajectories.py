@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pilotwave as pw
+from pilotwave.trajectories import integrate_ensemble
 from oracles import (
     free_gaussian_psi,
     free_gaussian_trajectory,
@@ -81,6 +82,45 @@ def test_trajectory_records_velocities(free_gaussian_run):
     assert traj.velocities is not None
     assert traj.velocities.shape == traj.positions.shape
     assert abs(traj.velocities[0, 0]) < 1e-10  # starts at rest
+
+
+def test_recorded_velocities_reuse_the_first_rk4_stage(free_gaussian_run):
+    gf = pw.GuidingField(free_gaussian_run)
+    velocity = gf.velocity
+    calls = []
+
+    def counted(x, t):
+        calls.append(t)
+        return velocity(x, t)
+
+    gf.velocity = counted
+    traj = pw.integrate_trajectory(gf, [1.0], 0.01)
+    n_steps = len(traj.times) - 1
+    assert n_steps == 200
+    # four RK4 stages per step plus one query for the final record
+    assert len(calls) == 4 * n_steps + 1
+    for t, x, v in zip(traj.times, traj.positions, traj.velocities):
+        assert np.array_equal(v, velocity(x[None], t)[0][0])
+
+
+def test_gated_ensemble_records_exact_velocities_and_zero_after_halt():
+    g = pw.SpatialGrid(64, (0.0, 2.0 * np.pi))
+    q = g.axes[0]
+    psi = pw.WaveField(g, np.exp(1j * q) + 0.9 * np.exp(-1j * q))
+    gf = pw.GuidingField([psi.with_time(t) for t in np.linspace(0.0, 2.0, 11)],
+                         node_eps=0.075)
+    x0 = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)[:, None]
+    ens = integrate_ensemble(gf, x0, 0.0, 2.0, 0.03, record_stride=3,
+                             record_velocities=True)
+    assert 0 < np.count_nonzero(ens.status) < ens.n
+    for r, t in enumerate(ens.times):
+        # a member halting in the step that starts here still moved into it
+        moving = (ens.status == 0) | (ens.halt_times >= t)
+        v, _ = gf.velocity(ens.positions[r][moving], t)
+        assert np.array_equal(ens.velocities[r][moving], v)
+        assert not np.any(ens.velocities[r][~moving])
+    assert np.any(ens.velocities[-1] == 0.0)
+    assert np.all(ens.velocities[0] > 0.0)
 
 
 def test_global_phase_invariance(grid1d, rng):
