@@ -287,7 +287,9 @@ def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
 
     For each spacing the bundle is rebuilt, (S, R) reconstructed on the
     center, and compared to the solver's polar field along the same path.
-    All deltas must be grid-resolvable (delta >= 2 dx).
+    All deltas must be grid-resolvable (delta >= 2 dx), and dt_traj must
+    put every record time of the center path on a snapshot time, because
+    the oracle reads the nearest snapshot.
     """
     gf = _as_guiding_field(snapshots, mass, hbar, node_eps)
     deltas = list(deltas)
@@ -300,6 +302,7 @@ def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
         raise ValueError("bundle_convergence needs the raw snapshot list "
                          "for its oracle")
 
+    tol = 1e-9 * np.min(np.diff(gf.times), initial=np.inf)
     polar0 = to_polar(snapshots[0], node_eps=node_eps, hbar=hbar)
 
     def r0_fn(points):
@@ -315,6 +318,10 @@ def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
     prev = None
     for delta in deltas:
         bundle = build_bundle(gf, x0, k, delta, dt_traj)
+        miss = np.abs(bundle.center.times[:, None] - gf.times).min(axis=1)
+        if np.any(miss > tol):
+            raise ValueError(f"dt_traj = {dt_traj} puts record times between "
+                             "snapshots; the oracle reads the nearest one")
         s0 = s0_at(bundle.center.positions[0])
         rec = reconstruct_along_center(bundle, potential, mass, hbar, s0, r0_fn)
         s_oracle, r_oracle = polar_along_trajectory(snapshots, bundle.center,

@@ -8,7 +8,12 @@ nodes. Interpolation is cubic B-spline in space and cubic Hermite in time
 between snapshots (slopes from neighboring snapshots), which is the
 accuracy bottleneck of the integrator: RK4's O(dt^4) is easily finer than
 the interpolation error, so tightening dt_traj beyond the snapshot spacing
-buys little.
+buys little. Both are linear in the grid values, so a query blends the
+prefiltered spline coefficients of the nearby snapshots in time first and
+then interpolates once in space: one cubic interpolation per axis and one
+linear one for |psi|^2. The last blend is kept, because RK4 stages 2 and 3
+query the same time. The field is defined only inside its snapshot
+window; a query outside it raises.
 
 Positions are integrated in unwrapped coordinates (displacements
 accumulate; fields are evaluated at the periodic image), so trajectory
@@ -83,6 +88,14 @@ class GuidingField:
     is flagged when the locally interpolated |psi|^2 sits below
     (node_eps * max|psi|)^2, meaning the guiding law is not trustworthy
     there.
+
+    A query at time t blends the prefiltered velocity coefficient grids of
+    snapshots k-1 .. k+2 with cubic Hermite weights, and the |psi|^2 grids
+    of k, k+1 linearly, then interpolates each blended grid once. The blend
+    of the last query time is kept for the next query; the field is not
+    changed after construction, so that one entry never goes stale. A
+    query time outside [times[0], times[-1]] raises ValueError (with one
+    snapshot, any time but its own).
     """
 
     def __init__(self, snapshots, mass: float = 1.0, hbar: float = 1.0,
@@ -99,8 +112,10 @@ class GuidingField:
         if len(snapshots) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must be strictly increasing")
 
-        self._v_coef = []   # per snapshot: list of prefiltered arrays per axis
-        self._rho = []
+        # per axis: the prefiltered velocity grids of all snapshots, stacked
+        stack = (len(snapshots), *self.grid.shape)
+        self._v_coef = [np.empty(stack) for _ in range(self.grid.dim)]
+        self._rho = np.empty(stack)
         self._gate = np.empty(len(snapshots))
         for i, snap in enumerate(snapshots):
             if isinstance(snap, WaveField):
@@ -116,62 +131,68 @@ class GuidingField:
                 rho = snap.R**2
             else:
                 raise TypeError(f"unsupported snapshot type {type(snap)!r}")
-            self._v_coef.append([
-                ndimage.spline_filter(va, order=3, mode="grid-wrap") for va in v
-            ])
-            self._rho.append(rho)
+            for coef, va in zip(self._v_coef, v):
+                coef[i] = ndimage.spline_filter(va, order=3, mode="grid-wrap")
+            self._rho[i] = rho
             self._gate[i] = gate
+        self._last_blend = (None, None)    # (query time, _blend result)
 
     def _coords(self, x: np.ndarray) -> np.ndarray:
         return self.grid.to_fractional_index(x).T
 
-    def _v_at(self, snap_idx: int, coords: np.ndarray) -> np.ndarray:
-        return np.stack([
-            ndimage.map_coordinates(c, coords, order=3, mode="grid-wrap",
-                                    prefilter=False)
-            for c in self._v_coef[snap_idx]
-        ], axis=-1)
-
-    def _rho_at(self, snap_idx: int, coords: np.ndarray) -> np.ndarray:
-        return ndimage.map_coordinates(self._rho[snap_idx], coords, order=1,
-                                       mode="grid-wrap")
-
     def velocity(self, x: np.ndarray, t: float):
-        """Velocities and node flags at positions x (N, dim) and time t."""
+        """Velocities and node flags at positions x (N, dim) and time t.
+
+        Raises ValueError when t lies outside [times[0], times[-1]].
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         coords = self._coords(x)
+        t = float(t)
+        last = self._last_blend
+        if last[0] != t:
+            last = self._last_blend = (t, self._blend(t))
+        v_coef, rho, gate = last[1]
+        v = np.stack([
+            ndimage.map_coordinates(c, coords, order=3, mode="grid-wrap",
+                                    prefilter=False)
+            for c in v_coef
+        ], axis=-1)
+        flags = ndimage.map_coordinates(rho, coords, order=1,
+                                        mode="grid-wrap") < gate
+        return v, flags
+
+    def _blend(self, t: float):
+        """Coefficient grids per axis, rho grid and node gate at time t:
+        cubic Hermite in time for the velocity (slopes from neighboring
+        snapshots, one-sided at the ends), linear for rho and the gate."""
         times = self.times
+        if not times[0] <= t <= times[-1]:
+            raise ValueError(f"query time {t!r} outside the snapshot window "
+                             f"[{times[0]!r}, {times[-1]!r}]")
         m = len(times)
         if m == 1:
-            v = self._v_at(0, coords)
-            flags = self._rho_at(0, coords) < self._gate[0]
-            return v, flags
-
-        t = float(np.clip(t, times[0], times[-1]))
-        k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, m - 2))
+            return [c[0] for c in self._v_coef], self._rho[0], self._gate[0]
+        k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), m - 2)
         h = times[k + 1] - times[k]
         s = (t - times[k]) / h
-
-        v_k = self._v_at(k, coords)
-        v_k1 = self._v_at(k + 1, coords)
-        # Hermite slopes from neighboring snapshots (one-sided at the ends)
-        if k > 0:
-            slope_k = (v_k1 - self._v_at(k - 1, coords)) / (times[k + 1] - times[k - 1])
-        else:
-            slope_k = (v_k1 - v_k) / h
-        if k + 2 < m:
-            slope_k1 = (self._v_at(k + 2, coords) - v_k) / (times[k + 2] - times[k])
-        else:
-            slope_k1 = (v_k1 - v_k) / h
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        v = h00 * v_k + h01 * v_k1 + h * (h10 * slope_k + h11 * slope_k1)
-
-        rho = (1 - s) * self._rho_at(k, coords) + s * self._rho_at(k + 1, coords)
+        # slope at k: (v[k+1] - v[a]) / (t[k+1] - t[a]); at k+1:
+        # (v[b] - v[k]) / (t[b] - t[k])
+        a, b = max(k - 1, 0), min(k + 2, m - 1)
+        c_k = h * h10 / (times[k + 1] - times[a])
+        c_k1 = h * h11 / (times[b] - times[k])
+        w = np.zeros(m)
+        np.add.at(w, [k, k + 1, k + 1, a, b, k],
+                  [h00, h01, c_k, -c_k, c_k1, -c_k1])
+        near, flat = slice(a, b + 1), (b + 1 - a, -1)
+        v_coef = [(w[near] @ c[near].reshape(flat)).reshape(self.grid.shape)
+                  for c in self._v_coef]
+        rho = (1 - s) * self._rho[k] + s * self._rho[k + 1]
         gate = (1 - s) * self._gate[k] + s * self._gate[k + 1]
-        return v, rho < gate
+        return v_coef, rho, gate
 
 
 def velocity_at(state, x, mass: float = 1.0, hbar: float = 1.0,
@@ -253,8 +274,11 @@ class EnsembleResult:
         return float(np.mean(self.status == 1))
 
     def alive_at(self, record_index: int) -> np.ndarray:
+        """Members not halted before this record. A member's own halt
+        record counts, as in ``trajectory(i)``: its position there is the
+        valid start of the step it could not take."""
         t = self.times[record_index]
-        return ~((self.status == 1) & (self.halt_times <= t))
+        return ~((self.status == 1) & (self.halt_times < t))
 
     def trajectory(self, i: int) -> Trajectory:
         if self.status[i] == 1:
@@ -382,7 +406,13 @@ def integrate_ensemble(gf: GuidingField, x0: np.ndarray, t0: float, t1: float,
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[1] != gf.grid.dim:
         raise ValueError("starting points do not match the grid dimension")
-    res = _integrate(gf.velocity, x0, t0, t1, dt, record_stride,
+
+    def velocity(x, t):
+        # the last stage time, t0 + n_steps * (span / n_steps), can round
+        # past t1 by an ulp; the field raises outside its window
+        return gf.velocity(x, min(t, t1))
+
+    res = _integrate(velocity, x0, t0, t1, dt, record_stride,
                      record_velocities)
     res.seed = seed
     res.sampler = sampler

@@ -2,10 +2,13 @@
 
 Everything here is derived by hand from closed-form solutions and kept
 free of any package solver code, so agreement between the two is a real
-cross-check rather than a tautology.
+cross-check rather than a tautology. The one exception is
+``per_snapshot_hermite_velocity``, a reference evaluation order for
+``GuidingField.velocity`` that reads the field's own grids.
 """
 
 import numpy as np
+from scipy import ndimage
 
 
 def free_gaussian_sigma(t, sigma0, hbar=1.0, mass=1.0):
@@ -72,3 +75,51 @@ def brute_force_zeros(f, a, b, n=200001):
     s = np.sign(y)
     idx = np.where(s[:-1] * s[1:] < 0)[0]
     return 0.5 * (x[idx] + x[idx + 1])
+
+
+def per_snapshot_hermite_velocity(gf, x, t):
+    """Reference for ``GuidingField.velocity``: interpolate every snapshot
+    in reach of t on its own, then blend the interpolated values in time.
+
+    Reads the field's per-snapshot prefiltered velocity grids, rho grids
+    and gates. Velocity is cubic Hermite in time with slopes from the
+    neighboring snapshots (one-sided at the ends); rho and the gate are
+    linear. Returns (v (N, dim), flags (N,)).
+    """
+    coords = gf.grid.to_fractional_index(np.atleast_2d(x)).T
+
+    def v_at(j):
+        return np.stack([
+            ndimage.map_coordinates(c, coords, order=3, mode="grid-wrap",
+                                    prefilter=False)
+            for c in (axis[j] for axis in gf._v_coef)
+        ], axis=-1)
+
+    def rho_at(j):
+        return ndimage.map_coordinates(gf._rho[j], coords, order=1,
+                                       mode="grid-wrap")
+
+    times = gf.times
+    m = len(times)
+    if m == 1:
+        return v_at(0), rho_at(0) < gf._gate[0]
+    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, m - 2))
+    h = times[k + 1] - times[k]
+    s = (t - times[k]) / h
+    v_k, v_k1 = v_at(k), v_at(k + 1)
+    if k > 0:
+        slope_k = (v_k1 - v_at(k - 1)) / (times[k + 1] - times[k - 1])
+    else:
+        slope_k = (v_k1 - v_k) / h
+    if k + 2 < m:
+        slope_k1 = (v_at(k + 2) - v_k) / (times[k + 2] - times[k])
+    else:
+        slope_k1 = (v_k1 - v_k) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    v = h00 * v_k + h01 * v_k1 + h * (h10 * slope_k + h11 * slope_k1)
+    rho = (1 - s) * rho_at(k) + s * rho_at(k + 1)
+    gate = (1 - s) * gf._gate[k] + s * gf._gate[k + 1]
+    return v, rho < gate

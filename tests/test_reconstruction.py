@@ -86,6 +86,15 @@ def test_bundle_convergence_rejects_subgrid_delta(gaussian_window):
                               pw.FreePotential(), dt_traj=0.005)
 
 
+def test_bundle_convergence_rejects_records_between_snapshots(
+        gaussian_window):
+    # snapshots every 0.005: a 0.0025 step puts every other record between
+    # two snapshots, where the nearest-snapshot oracle reads the wrong field
+    with pytest.raises(ValueError, match="dt_traj"):
+        pw.bundle_convergence(gaussian_window, [0.5], 4, [0.2, 0.1],
+                              pw.FreePotential(), dt_traj=0.0025)
+
+
 def test_classical_reconstruct_free_particle():
     state = ClassicalState([0.0], PlaneWaveAction([2.0], 1.0), p0=[2.0])
     traj = pw.classical_trajectory(state, 1.0, 1e-3)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import pilotwave as pw
-from pilotwave.trajectories import integrate_ensemble
+from pilotwave.trajectories import GuidingField, integrate_ensemble
 from oracles import (
     free_gaussian_psi,
     free_gaussian_trajectory,
     free_gaussian_velocity,
+    per_snapshot_hermite_velocity,
 )
 
 
@@ -119,6 +121,14 @@ def test_gated_ensemble_records_exact_velocities_and_zero_after_halt():
         v, _ = gf.velocity(ens.positions[r][moving], t)
         assert np.array_equal(ens.velocities[r][moving], v)
         assert not np.any(ens.velocities[r][~moving])
+        assert np.array_equal(ens.alive_at(r), moving)
+    # at its own halt record a member is alive in both views
+    on_record = np.flatnonzero(np.isin(ens.halt_times, ens.times))
+    assert on_record.size
+    for i in on_record:
+        r = int(np.flatnonzero(ens.times == ens.halt_times[i])[0])
+        assert ens.alive_at(r)[i]
+        assert ens.trajectory(i).times[-1] == ens.times[r]
     assert np.any(ens.velocities[-1] == 0.0)
     assert np.all(ens.velocities[0] > 0.0)
 
@@ -228,3 +238,122 @@ def test_2d_configuration_space_guidance():
     snaps = [psi.with_time(t) for t in np.linspace(0.0, 1.0, 11)]
     traj = pw.integrate_trajectory(snaps, [0.5, 0.5], 0.02)
     assert np.allclose(traj.positions[-1], [2.5, -0.5], atol=1e-8)
+
+
+def _interfering_snapshots(dim):
+    """Two crossing packets: interference fringes with near-nodes, so the
+    node gate flags some points and the velocity varies in time."""
+    if dim == 1:
+        g = pw.SpatialGrid(128, (-5.0 * np.pi, 5.0 * np.pi))
+        a = pw.gaussian_packet(g, [-2.0], 1.0, momentum=[2.0])
+        b = pw.gaussian_packet(g, [2.0], 1.0, momentum=[-2.0])
+    else:
+        g = pw.SpatialGrid((64, 32), ((-4.0 * np.pi, 4.0 * np.pi),) * 2)
+        a = pw.gaussian_packet(g, [-1.5, 0.5], [1.0, 1.5], momentum=[1.5, 0.5])
+        b = pw.gaussian_packet(g, [1.5, -0.5], [1.2, 1.0], momentum=[-1.5, 0.0])
+    cfg = pw.PropagatorConfig(dt=2e-3, steps=500, snapshot_stride=100)
+    return pw.propagate(pw.superpose(a, b), pw.FreePotential(), cfg)
+
+
+def _query_times(times):
+    """Every snapshot time, every interval midpoint, and points inside the
+    first and the last interval."""
+    if len(times) == 1:
+        return list(times)
+    mids = 0.5 * (times[:-1] + times[1:])
+    first = times[0] + 0.3 * (times[1] - times[0])
+    last = times[-2] + 0.7 * (times[-1] - times[-2])
+    return [*times, *mids, first, last]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_snaps", [1, 2, 6])
+def test_velocity_matches_per_snapshot_interpolation(dim, n_snaps):
+    snaps = _interfering_snapshots(dim)[:n_snaps]
+    gf = GuidingField(snaps, node_eps=0.05)
+    rng = np.random.default_rng(7)
+    lo, hi = np.array(gf.grid.qmin), np.array(gf.grid.qmax)
+    x = lo + (hi - lo) * rng.random((500, dim))
+    flagged = 0
+    for t in _query_times(gf.times):
+        v, flags = gf.velocity(x, t)
+        v_ref, flags_ref = per_snapshot_hermite_velocity(gf, x, t)
+        assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
+        assert np.array_equal(flags, flags_ref)
+        flagged += np.count_nonzero(flags)
+    assert 0 < flagged
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_velocity_makes_one_interpolation_per_axis_and_one_for_rho(
+        dim, monkeypatch):
+    gf = GuidingField(_interfering_snapshots(dim))
+    calls = []
+    real = ndimage.map_coordinates
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("order"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "map_coordinates", counting)
+    x = np.zeros((10, dim))
+    times = _query_times(gf.times)
+    for t in times + times[-1:]:    # the repeat reuses the last blend
+        calls.clear()
+        gf.velocity(x, t)
+        assert sorted(calls) == [1] + [3] * dim
+
+
+def test_velocity_reuses_the_blend_of_the_shared_midpoint(monkeypatch):
+    snaps = _interfering_snapshots(1)
+    gf = GuidingField(snaps)
+    blends, queries = [], []
+    blend, velocity = GuidingField._blend, GuidingField.velocity
+
+    def counting_blend(self, t):
+        blends.append(t)
+        return blend(self, t)
+
+    def counting_velocity(self, x, t):
+        queries.append(t)
+        return velocity(self, x, t)
+
+    monkeypatch.setattr(GuidingField, "_blend", counting_blend)
+    monkeypatch.setattr(GuidingField, "velocity", counting_velocity)
+    n = 40
+    x0 = np.linspace(-1.0, 1.0, 5)[:, None]
+    ens = integrate_ensemble(gf, x0, gf.times[0], gf.times[-1],
+                             (gf.times[-1] - gf.times[0]) / n,
+                             record_velocities=True)
+    assert ens.halted_fraction == 0.0
+    assert len(queries) == 4 * n + 1
+    assert len(blends) <= 3 * n + 1
+
+
+def test_velocity_raises_outside_the_snapshot_window(free_gaussian_run):
+    gf = GuidingField(free_gaussian_run)
+    x = np.zeros((3, 1))
+    t0, t1 = gf.times[0], gf.times[-1]
+    for t in (t0, t1):
+        gf.velocity(x, t)
+    for t in (t0 - 1e-9, t1 + 1e-9, np.nextafter(t1, np.inf), np.nan):
+        with pytest.raises(ValueError, match="snapshot window"):
+            gf.velocity(x, t)
+    single = GuidingField(free_gaussian_run[5:6])
+    single.velocity(x, free_gaussian_run[5].time)
+    for t in (free_gaussian_run[4].time, free_gaussian_run[6].time,
+              np.nextafter(free_gaussian_run[5].time, np.inf)):
+        with pytest.raises(ValueError, match="snapshot window"):
+            single.velocity(x, t)
+
+
+def test_last_stage_rounding_past_the_window_end_is_not_a_query_outside(
+        free_gaussian_run):
+    gf = GuidingField(free_gaussian_run)
+    span = gf.times[-1] - gf.times[0]
+    # a step count whose last RK4 stage time rounds past the window end
+    n = next(n for n in range(100, 1000)
+             if gf.times[0] + (n - 1) * (span / n) + span / n > gf.times[-1])
+    ens = integrate_ensemble(gf, np.array([[0.5]]), gf.times[0], gf.times[-1],
+                             span / n, record_velocities=True)
+    assert ens.positions.shape == (n + 1, 1, 1)
