@@ -54,9 +54,6 @@ class WaveField:
             raise AllNodesError("cannot normalize the zero field")
         return WaveField(self.grid, self.values / n, self.time)
 
-    def with_time(self, time: float) -> "WaveField":
-        return WaveField(self.grid, self.values, time)
-
     def __repr__(self):
         return f"WaveField(t={self.time:g}, norm={self.norm():.6g}, {self.grid!r})"
 
@@ -117,10 +114,6 @@ class PolarField:
         self.hbar = float(hbar)
         self.time = float(time)
         self.residues = _freeze(residues.copy()) if residues is not None else None
-
-    @property
-    def has_residues(self) -> bool:
-        return self.residues is not None and bool(np.any(self.residues))
 
 
 def _unwrap_1d(theta: np.ndarray, anchor: int) -> np.ndarray:

@@ -4,9 +4,9 @@ Field files start with a single comment header
 
     # grid dim=<d> n=<n> qmin=<..> qmax=<..> t=<..>
 
-(multi-axis values comma-separated), followed by rows ``q[,q2],re,im`` for
-complex fields or ``q[,q2],value`` for real ones. All floats are written
-with 17 significant digits, which round-trips IEEE doubles bit-exactly.
+(multi-axis values comma-separated), followed by rows ``q[,q2],re,im``.
+All floats are written with 17 significant digits, which round-trips IEEE
+doubles bit-exactly.
 Rows go through ``np.savetxt(fmt="%.17g")``; ``"%.17g" % x`` is the same
 text as ``format(x, ".17g")`` used for headers and the convergence table
 (whose undefined slopes stay blank), so every file shares one float format.
@@ -14,7 +14,7 @@ text as ``format(x, ".17g")`` used for headers and the convergence table
 
 import numpy as np
 
-from .fields import RealField, WaveField
+from .fields import WaveField
 from .grid import SpatialGrid
 
 
@@ -44,16 +44,13 @@ def _parse_header(line: str):
     return grid, t
 
 
-def _dump_field(path, field, value_cols) -> None:
-    cols = [c.ravel() for c in field.grid.coordinates()] + value_cols
+def dump_wave_field(path, field: WaveField) -> None:
+    flat = field.values.ravel()
+    cols = [c.ravel() for c in field.grid.coordinates()]
+    cols += [flat.real, flat.imag]
     with open(path, "w") as fh:
         fh.write(_grid_header(field.grid, field.time) + "\n")
         np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",")
-
-
-def dump_wave_field(path, field: WaveField) -> None:
-    flat = field.values.ravel()
-    _dump_field(path, field, [flat.real, flat.imag])
 
 
 def load_wave_field(path) -> WaveField:
@@ -63,18 +60,6 @@ def load_wave_field(path) -> WaveField:
     re = data[:, grid.dim]
     im = data[:, grid.dim + 1]
     return WaveField(grid, (re + 1j * im).reshape(grid.shape), t)
-
-
-def dump_real_field(path, field: RealField) -> None:
-    _dump_field(path, field, [field.values.ravel()])
-
-
-def load_real_field(path, units: str = "") -> RealField:
-    with open(path) as fh:
-        grid, t = _parse_header(fh.readline().rstrip("\n"))
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    values = data[:, grid.dim].reshape(grid.shape)
-    return RealField(grid, values, units=units, time=t)
 
 
 def dump_trajectories(path, trajectories) -> None:

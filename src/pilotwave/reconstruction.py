@@ -60,35 +60,43 @@ def build_bundle(snapshots, x0, k: int, delta: float, dt_traj: float,
                  node_eps: float = 1e-6) -> Bundle:
     """Integrate the center and its 2k-per-axis neighbors under one field."""
     gf = _as_guiding_field(snapshots, mass, hbar, node_eps)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    dim = gf.grid.dim
+    return _build_bundles(gf, x0, k, [delta], dt_traj)[0]
+
+
+def _build_bundles(gf, x0, k: int, deltas, dt_traj: float) -> list[Bundle]:
+    """One Bundle per spacing, all integrated as one batch.
+
+    The center starts at x0 for every spacing, so it is integrated once and
+    shared; after it come the 2k neighbors per axis of each spacing in turn.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if delta <= 0 and k > 0:
+    if k > 0 and any(d <= 0 for d in deltas):
         raise ValueError("delta must be positive")
-    offsets = np.arange(-k, k + 1)
-    starts = [x0.copy()]
-    index = {}
-    for a in range(dim):
-        for o in offsets:
-            if o == 0:
-                continue
-            pt = x0.copy()
-            pt[a] += o * delta
-            index[(a, int(o))] = len(starts)
-            starts.append(pt)
-    res = integrate_ensemble(gf, np.array(starts), float(gf.times[0]),
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    dim = gf.grid.dim
+    offsets = np.delete(np.arange(-k, k + 1), k)
+    starts = [x0[None]]
+    for delta in deltas:
+        for a in range(dim):
+            side = np.repeat(x0[None], 2 * k, axis=0)
+            side[:, a] += offsets * delta
+            starts.append(side)
+    res = integrate_ensemble(gf, np.concatenate(starts), float(gf.times[0]),
                              float(gf.times[-1]), dt_traj,
                              record_velocities=True)
     if np.any(res.status == 1):
         raise BundleCrossingError("a bundle member halted inside the window")
-    members = res.trajectories
-    chains = []
-    for a in range(dim):
-        chain = [members[index[(a, int(o))]] if o != 0 else members[0]
-                 for o in offsets]
-        chains.append(chain)
-    return Bundle(center=members[0], chains=chains, spacing=float(delta), k=int(k))
+    center, *members = res.trajectories
+    n = 2 * k
+    bundles = []
+    for i, delta in enumerate(deltas):
+        sides = [members[(i * dim + a) * n:(i * dim + a + 1) * n]
+                 for a in range(dim)]
+        chains = [side[:k] + [center] + side[k:] for side in sides]
+        bundles.append(Bundle(center=center, chains=chains,
+                              spacing=float(delta), k=int(k)))
+    return bundles
 
 
 def _nonuniform_first(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -128,12 +136,11 @@ def reconstruct_along_center(bundle: Bundle, potential: Potential,
                              r0) -> ReconstructionResult:
     """Integrate the along-path relations for (S, R) on the center.
 
-    ``r0`` gives the initial amplitude near C(0): either a callable
-    evaluated at the member start points or an array of shape
-    (n_axes, 2k+1) (flat (2k+1,) accepted in 1D). Divergence and amplitude
-    curvature are estimated transversely across the bundle chains; in 2D
-    the cross-axis divergence at off-center members is approximated by the
-    center value (exact for product-structure flows).
+    ``r0`` gives the initial amplitude near C(0): a callable evaluated at
+    the start points of each chain. Divergence and amplitude curvature are
+    estimated transversely across the bundle chains; in 2D the cross-axis
+    divergence at off-center members is approximated by the center value
+    (exact for product-structure flows).
 
     Raises InsufficientBundleError for k < 2 and BundleCrossingError when
     chain ordering breaks mid-window.
@@ -151,16 +158,8 @@ def reconstruct_along_center(bundle: Bundle, potential: Potential,
     m = 2 * bundle.k + 1
     kc = bundle.k  # center column
 
-    if callable(r0):
-        r0_arrays = [np.asarray(r0(pts), dtype=float)
-                     for pts in bundle.start_points()]
-    else:
-        r0_arr = np.asarray(r0, dtype=float)
-        if r0_arr.ndim == 1 and dim == 1:
-            r0_arr = r0_arr[None, :]
-        if r0_arr.shape != (dim, m):
-            raise ValueError(f"r0 must have shape ({dim}, {m})")
-        r0_arrays = [r0_arr[a] for a in range(dim)]
+    r0_arrays = [np.asarray(r0(pts), dtype=float)
+                 for pts in bundle.start_points()]
 
     # per chain: coordinate along its axis and velocity component along it
     X = []
@@ -285,47 +284,47 @@ def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
                        node_eps: float = 1e-6) -> list[ConvergenceRow]:
     """Reconstruction error against the solver oracle for decreasing delta.
 
-    For each spacing the bundle is rebuilt, (S, R) reconstructed on the
-    center, and compared to the solver's polar field along the same path.
-    All deltas must be grid-resolvable (delta >= 2 dx), and dt_traj must
-    put every record time of the center path on a snapshot time, because
-    the oracle reads the nearest snapshot.
+    The bundles of all spacings are integrated as one batch around one
+    shared center, and the solver's polar field is read along that center
+    once; each spacing then only reconstructs (S, R) and is scored. Given a
+    GuidingField, its mass, hbar and node_eps are used and the oracle reads
+    the snapshots it was built from. All deltas must be grid-resolvable
+    (delta >= 2 dx), and dt_traj must put every record time of the center
+    path on a snapshot time, because the oracle reads the nearest snapshot.
     """
     gf = _as_guiding_field(snapshots, mass, hbar, node_eps)
+    mass, hbar, node_eps = gf.mass, gf.hbar, gf.node_eps
     deltas = list(deltas)
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
     min_dx = float(np.min(gf.grid.dx))
     if any(d < 2.0 * min_dx for d in deltas):
         raise ValueError("every delta must satisfy delta >= 2 dx")
-    if gf is snapshots:
-        raise ValueError("bundle_convergence needs the raw snapshot list "
-                         "for its oracle")
+    if not deltas:
+        return []
 
+    bundles = _build_bundles(gf, x0, k, deltas, dt_traj)
+    center = bundles[0].center
     tol = 1e-9 * np.min(np.diff(gf.times), initial=np.inf)
-    polar0 = to_polar(snapshots[0], node_eps=node_eps, hbar=hbar)
+    miss = np.abs(center.times[:, None] - gf.times).min(axis=1)
+    if np.any(miss > tol):
+        raise ValueError(f"dt_traj = {dt_traj} puts record times between "
+                         "snapshots; the oracle reads the nearest one")
 
-    def r0_fn(points):
+    polar0 = to_polar(gf.snapshots[0], node_eps=node_eps, hbar=hbar)
+
+    def at_start(field, points):
         coords = gf.grid.to_fractional_index(points).T
-        return ndimage.map_coordinates(polar0.R, coords, order=3, mode="nearest")
+        return ndimage.map_coordinates(field, coords, order=3, mode="nearest")
 
-    def s0_at(point):
-        coords = gf.grid.to_fractional_index(point)[:, None]
-        return float(ndimage.map_coordinates(polar0.S, coords, order=3,
-                                             mode="nearest")[0])
-
+    s0 = float(at_start(polar0.S, center.positions[:1])[0])
+    s_oracle, r_oracle = polar_along_trajectory(gf.snapshots, center, hbar,
+                                                node_eps)
     rows = []
     prev = None
-    for delta in deltas:
-        bundle = build_bundle(gf, x0, k, delta, dt_traj)
-        miss = np.abs(bundle.center.times[:, None] - gf.times).min(axis=1)
-        if np.any(miss > tol):
-            raise ValueError(f"dt_traj = {dt_traj} puts record times between "
-                             "snapshots; the oracle reads the nearest one")
-        s0 = s0_at(bundle.center.positions[0])
-        rec = reconstruct_along_center(bundle, potential, mass, hbar, s0, r0_fn)
-        s_oracle, r_oracle = polar_along_trajectory(snapshots, bundle.center,
-                                                    hbar, node_eps)
+    for bundle in bundles:
+        rec = reconstruct_along_center(bundle, potential, mass, hbar, s0,
+                                       lambda pts: at_start(polar0.R, pts))
         err_s = _relative_l2(rec.action, s_oracle)
         err_r = _relative_l2(rec.amplitude, r_oracle)
         if prev is None:
@@ -333,8 +332,8 @@ def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
         else:
             d_prev, e_prev = prev
             slope = float(np.log(e_prev / max(err_s, 1e-300))
-                          / np.log(d_prev / delta))
-        rows.append(ConvergenceRow(delta=float(delta), k=int(k),
+                          / np.log(d_prev / bundle.spacing))
+        rows.append(ConvergenceRow(delta=bundle.spacing, k=int(k),
                                    err_s=err_s, err_r=err_r, slope=slope))
-        prev = (delta, err_s)
+        prev = (bundle.spacing, err_s)
     return rows

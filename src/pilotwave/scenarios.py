@@ -48,6 +48,7 @@ from .schrodinger import (
 from .states import double_slit_state, gaussian_packet
 from .stats import chi_square_gof, ks_statistic
 from .trajectories import (
+    GuidingField,
     count_axis_crossings,
     divergence_experiment,
     propagate_ensemble,
@@ -154,6 +155,11 @@ _ENSEMBLE = {
 _OUTPUT = {
     "directory": Key(str),
 }
+
+
+def _schema(**sections):
+    """A scenario schema: the shared ``scenario`` key first, ``output`` last."""
+    return {"scenario": Key(str), **sections, "output": _OUTPUT}
 
 
 def _build_grid(cfg):
@@ -396,16 +402,16 @@ def _run_reconstruction(cfg, out):
     hbar, mass = cfg["physics"]["hbar"], cfg["physics"]["mass"]
     psi0 = gaussian_packet(grid, st["center"], st["sigma"], hbar=hbar)
     pot = _build_potential(cfg)
-    snaps = propagate(psi0, pot, _prop_config(cfg))
+    gf = GuidingField(propagate(psi0, pot, _prop_config(cfg)), mass=mass,
+                      hbar=hbar)
     bcfg = cfg["bundle"]
-    rows = bundle_convergence(snaps, [bcfg["x0"]], bcfg["k"], bcfg["deltas"],
-                              pot, mass=mass, hbar=hbar,
-                              dt_traj=cfg["run"]["dt_traj"])
+    rows = bundle_convergence(gf, [bcfg["x0"]], bcfg["k"], bcfg["deltas"],
+                              pot, dt_traj=cfg["run"]["dt_traj"])
     errs = [r.err_s for r in rows]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
 
-    single = build_bundle(snaps, [bcfg["x0"]], 0, bcfg["deltas"][-1],
-                          cfg["run"]["dt_traj"], mass=mass, hbar=hbar)
+    single = build_bundle(gf, [bcfg["x0"]], 0, bcfg["deltas"][-1],
+                          cfg["run"]["dt_traj"])
     try:
         reconstruct_along_center(single, pot, mass, hbar, 0.0,
                                  lambda pts: np.ones(len(pts)))
@@ -479,112 +485,95 @@ _STATE_GAUSSIAN = {
 REGISTRY = {
     "continuity-residual": {
         "claim": "local probability conservation holds at second order in dt",
-        "schema": {
-            "scenario": Key(str),
-            "grid": _GRID,
-            "physics": _PHYSICS,
-            "state": _STATE_GAUSSIAN,
-            "run": {"dt": Key(float, check=_positive),
-                    "T": Key(float, check=_positive)},
-            "output": _OUTPUT,
-        },
+        "schema": _schema(
+            grid=_GRID,
+            physics=_PHYSICS,
+            state=_STATE_GAUSSIAN,
+            run={"dt": Key(float, check=_positive),
+                 "T": Key(float, check=_positive)},
+        ),
         "runner": _run_continuity,
     },
     "double-slit-nocross": {
         "claim": "two-branch interference: no trajectory crosses the symmetry axis",
-        "schema": {
-            "scenario": Key(str),
-            "grid": _GRID,
-            "physics": _PHYSICS,
-            "state": {"separation": Key(float, check=_positive),
-                      "width": Key(float, check=_positive)},
-            "run": _RUN_FULL,
-            "ensemble": _ENSEMBLE,
-            "histogram": {"qmin": Key(float), "qmax": Key(float),
-                          "bins": Key(int, check=lambda v: v >= 10)},
-            "output": _OUTPUT,
-        },
+        "schema": _schema(
+            grid=_GRID,
+            physics=_PHYSICS,
+            state={"separation": Key(float, check=_positive),
+                   "width": Key(float, check=_positive)},
+            run=_RUN_FULL,
+            ensemble=_ENSEMBLE,
+            histogram={"qmin": Key(float), "qmax": Key(float),
+                       "bins": Key(int, check=lambda v: v >= 10)},
+        ),
         "runner": _run_double_slit,
     },
     "equivariance-free-gaussian": {
         "claim": "born-distributed ensembles keep tracking |psi|^2 under the flow",
-        "schema": {
-            "scenario": Key(str),
-            "grid": _GRID,
-            "physics": _PHYSICS,
-            "state": _STATE_GAUSSIAN,
-            "run": _RUN_FULL,
-            "ensemble": _ENSEMBLE,
-            "output": _OUTPUT,
-        },
+        "schema": _schema(
+            grid=_GRID,
+            physics=_PHYSICS,
+            state=_STATE_GAUSSIAN,
+            run=_RUN_FULL,
+            ensemble=_ENSEMBLE,
+        ),
         "runner": _run_equivariance,
     },
     "holland-nonuniqueness": {
         "claim": "two distinct free action functions guide one classical path",
-        "schema": {
-            "scenario": Key(str),
-            "physics": {"hbar": Key(float, check=_positive),
-                        "mass": Key(float, check=_positive)},
-            "classical": {"momentum": Key(float), "q0": Key(float),
-                          "t_start": Key(float, check=_positive),
-                          "seed": Key(int, check=_non_negative)},
-            "run": {"dt": Key(float, check=_positive),
-                    "T": Key(float, check=_positive)},
-            "output": _OUTPUT,
-        },
+        "schema": _schema(
+            physics={"hbar": Key(float, check=_positive),
+                     "mass": Key(float, check=_positive)},
+            classical={"momentum": Key(float), "q0": Key(float),
+                       "t_start": Key(float, check=_positive),
+                       "seed": Key(int, check=_non_negative)},
+            run={"dt": Key(float, check=_positive),
+                 "T": Key(float, check=_positive)},
+        ),
         "runner": _run_holland,
     },
     "p2-divergence": {
         "claim": "same start and phase gradient, different amplitudes: guided "
                  "paths split while the classical pair stays together",
-        "schema": {
-            "scenario": Key(str),
-            "grid": _GRID,
-            "physics": _PHYSICS,
-            "state": {"sigma_a": Key(float, check=_positive),
-                      "sigma_b": Key(float, check=_positive),
-                      "center": Key(float), "q0": Key(float)},
-            "run": _RUN_FULL,
-            "output": _OUTPUT,
-        },
+        "schema": _schema(
+            grid=_GRID,
+            physics=_PHYSICS,
+            state={"sigma_a": Key(float, check=_positive),
+                   "sigma_b": Key(float, check=_positive),
+                   "center": Key(float), "q0": Key(float)},
+            run=_RUN_FULL,
+        ),
         "runner": _run_p2_divergence,
     },
     "reconstruction-bundle": {
         "claim": "amplitude and action along a path need a neighborhood "
                  "bundle; one classical path reconstructs its own action",
-        "schema": {
-            "scenario": Key(str),
-            "grid": _GRID,
-            "physics": _PHYSICS,
-            "state": _STATE_GAUSSIAN,
-            "bundle": {"x0": Key(float), "k": Key(int, check=lambda v: v >= 2),
-                       "deltas": Key(("list", float),
-                                     check=lambda v: len(v) >= 2)},
-            "classical": {"momentum": Key(float), "q0": Key(float)},
-            "run": _RUN_FULL,
-            "output": _OUTPUT,
-        },
+        "schema": _schema(
+            grid=_GRID,
+            physics=_PHYSICS,
+            state=_STATE_GAUSSIAN,
+            bundle={"x0": Key(float), "k": Key(int, check=lambda v: v >= 2),
+                    "deltas": Key(("list", float),
+                                  check=lambda v: len(v) >= 2)},
+            classical={"momentum": Key(float), "q0": Key(float)},
+            run=_RUN_FULL,
+        ),
         "runner": _run_reconstruction,
     },
     "semiclassical-sweep": {
         "claim": "the guided-vs-classical trajectory gap shrinks as hbar drops",
-        "schema": {
-            "scenario": Key(str),
-            "grid": _GRID,
-            "physics": {"mass": Key(float, check=_positive),
-                        "hbars": Key(("list", float),
-                                     check=lambda v: len(v) >= 2
-                                     and all(x > 0 for x in v)),
-                        "potential": {
-                            "kind": Key(str, choices=("free", "harmonic")),
-                            "omega": Key(float, required=False,
-                                         check=_positive)}},
-            "state": {"sigma": Key(float, check=_positive),
-                      "center": Key(float), "momentum": Key(float),
-                      "q0": Key(float)},
-            "run": _RUN_FULL,
-            "output": _OUTPUT,
-        },
+        "schema": _schema(
+            grid=_GRID,
+            physics={"mass": Key(float, check=_positive),
+                     "hbars": Key(("list", float),
+                                  check=lambda v: len(v) >= 2
+                                  and all(x > 0 for x in v)),
+                     "potential": _PHYSICS["potential"]},
+            state={"sigma": Key(float, check=_positive),
+                   "center": Key(float), "momentum": Key(float),
+                   "q0": Key(float)},
+            run=_RUN_FULL,
+        ),
         "runner": _run_semiclassical,
     },
 }

@@ -84,10 +84,11 @@ class GuidingField:
     """Space-time interpolant of the guiding velocity over field snapshots.
 
     Accepts WaveField or PolarField snapshots (all on one grid, strictly
-    increasing times). Queries return velocities plus node flags; a query
-    is flagged when the locally interpolated |psi|^2 sits below
-    (node_eps * max|psi|)^2, meaning the guiding law is not trustworthy
-    there.
+    increasing times) and keeps their list as ``snapshots``, so a solver
+    oracle can read the field that guided a path. Queries return
+    velocities plus node flags; a query is flagged when the locally
+    interpolated |psi|^2 sits below (node_eps * max|psi|)^2, meaning the
+    guiding law is not trustworthy there.
 
     A query at time t blends the prefiltered velocity coefficient grids of
     snapshots k-1 .. k+2 with cubic Hermite weights, and the |psi|^2 grids
@@ -108,6 +109,7 @@ class GuidingField:
         self.mass = float(mass)
         self.hbar = float(hbar)
         self.node_eps = float(node_eps)
+        self.snapshots = list(snapshots)
         self.times = np.array([s.time for s in snapshots], dtype=float)
         if len(snapshots) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must be strictly increasing")

@@ -91,7 +91,7 @@ def test_2d_roundtrip_off_nodes():
     ok = ~pol.node_mask
     rel = np.max(np.abs(back.values - psi.values)[ok]) / np.max(np.abs(psi.values))
     assert rel <= 1e-10
-    assert not pol.has_residues
+    assert not np.any(pol.residues)
 
 
 def test_2d_vortex_flags_residues():
@@ -101,7 +101,7 @@ def test_2d_vortex_flags_residues():
     psi = pw.WaveField(g, vortex).normalize()
     with pytest.warns(pw.UnwrapResidueWarning):
         pol = pw.to_polar(psi, node_eps=0.05)
-    assert pol.has_residues
+    assert np.any(pol.residues)
     assert np.any(pol.node_mask)
 
 

@@ -68,17 +68,6 @@ def test_wave_field_roundtrip_2d(tmp_path):
     assert np.array_equal(back.values, psi.values)
 
 
-def test_real_field_roundtrip(tmp_path):
-    g = pw.SpatialGrid(32, (0.0, 1.0))
-    vals = np.linspace(0.0, 1.0, 32) ** 3 + 1e-17
-    f = pw.RealField(g, vals, units="probability_density", time=2.5)
-    path = tmp_path / "rho.csv"
-    pwio.dump_real_field(path, f)
-    back = pwio.load_real_field(path, units="probability_density")
-    assert np.array_equal(back.values, f.values)
-    assert back.time == 2.5
-
-
 def test_trajectory_dump_format(tmp_path):
     traj = pw.Trajectory(times=[0.0, 0.5, 1.0],
                          positions=[[0.1], [0.2], [0.3]])

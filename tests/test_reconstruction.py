@@ -3,6 +3,7 @@ import pytest
 from scipy import ndimage
 
 import pilotwave as pw
+from pilotwave import reconstruction
 from pilotwave.classical import ClassicalState, PlaneWaveAction
 from pilotwave.reconstruction import polar_along_trajectory
 from pilotwave.trajectories import Trajectory
@@ -36,7 +37,8 @@ def _amplitude_seed(snapshots):
 def test_plane_wave_reconstruction_exact():
     g = pw.SpatialGrid(64, (0.0, 2.0 * np.pi))
     psi = pw.plane_wave(g, 2.0)
-    snaps = [psi.with_time(t) for t in np.linspace(0.0, 1.0, 21)]
+    snaps = [pw.WaveField(psi.grid, psi.values, t)
+             for t in np.linspace(0.0, 1.0, 21)]
     bundle = pw.build_bundle(snaps, [0.5], k=2, delta=0.2, dt_traj=0.05)
     rec = pw.reconstruct_along_center(bundle, pw.FreePotential(), 1.0, 1.0,
                                       s0=0.0,
@@ -78,6 +80,67 @@ def test_bundle_convergence_strictly_decreasing(gaussian_window):
     # transverse stencils are second order
     assert rows[1].slope == pytest.approx(2.0, abs=0.4)
     assert rows[2].slope == pytest.approx(2.0, abs=0.4)
+
+
+def _gaussian_2d_window():
+    g = pw.SpatialGrid((32, 32), ((-8.0, 8.0), (-8.0, 8.0)))
+    psi0 = pw.gaussian_packet(g, (0.0, 0.0), (1.0, 1.5))
+    cfg = pw.PropagatorConfig(dt=0.01, steps=20, snapshot_stride=2)
+    return pw.propagate(psi0, pw.FreePotential(), cfg)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sweep_batch_equals_one_bundle_per_spacing(gaussian_window, dim):
+    if dim == 1:
+        snaps, x0, deltas = gaussian_window, [0.5], [0.2, 0.1, 0.05]
+    else:
+        snaps, x0, deltas = _gaussian_2d_window(), [0.5, -0.25], [1.0, 0.5]
+    gf = pw.GuidingField(snaps)
+    batch = reconstruction._build_bundles(gf, x0, 2, deltas, 0.02)
+    assert len(batch) == len(deltas)
+    for bundle, delta in zip(batch, deltas):
+        alone = pw.build_bundle(gf, x0, 2, delta, 0.02)
+        assert (bundle.spacing, bundle.k) == (alone.spacing, alone.k)
+        assert len(bundle.chains) == len(alone.chains) == dim
+        for chain, chain_alone in zip(bundle.chains, alone.chains):
+            assert len(chain) == len(chain_alone) == 5
+            for m, m_alone in zip(chain, chain_alone):
+                assert np.array_equal(m.times, m_alone.times)
+                assert np.array_equal(m.positions, m_alone.positions)
+                assert np.array_equal(m.velocities, m_alone.velocities)
+
+
+def test_bundle_convergence_integrates_once_and_reads_the_oracle_once(
+        gaussian_window, monkeypatch):
+    counts = {"integrate_ensemble": 0, "to_polar": 0}
+
+    def counting(name):
+        real = getattr(reconstruction, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(reconstruction, name, counting(name))
+    pw.bundle_convergence(gaussian_window, [0.5], 4, [0.2, 0.1, 0.05],
+                          pw.FreePotential(), dt_traj=0.005)
+    # one batch for all three spacings; the initial field plus one polar
+    # decomposition per snapshot (201) for the shared center
+    assert counts == {"integrate_ensemble": 1,
+                      "to_polar": 1 + len(gaussian_window)}
+
+
+def test_bundle_convergence_accepts_a_guiding_field(gaussian_window):
+    args = ([0.5], 4, [0.2, 0.1], pw.FreePotential())
+    from_snaps = pw.bundle_convergence(gaussian_window, *args, dt_traj=0.005)
+    from_field = pw.bundle_convergence(pw.GuidingField(gaussian_window),
+                                       *args, dt_traj=0.005)
+    for a, b in zip(from_snaps, from_field, strict=True):
+        assert np.array_equal([a.delta, a.k, a.err_s, a.err_r, a.slope],
+                              [b.delta, b.k, b.err_s, b.err_r, b.slope],
+                              equal_nan=True)
 
 
 def test_bundle_convergence_rejects_subgrid_delta(gaussian_window):
@@ -155,7 +218,8 @@ def test_reconstruction_consumes_only_trajectory_data(gaussian_window):
 def test_2d_plane_wave_reconstruction_exact():
     g = pw.SpatialGrid((32, 32), ((0.0, 2 * np.pi), (0.0, 2 * np.pi)))
     psi = pw.plane_wave(g, (2.0, 1.0))
-    snaps = [psi.with_time(t) for t in np.linspace(0.0, 0.5, 11)]
+    snaps = [pw.WaveField(psi.grid, psi.values, t)
+             for t in np.linspace(0.0, 0.5, 11)]
     bundle = pw.build_bundle(snaps, [0.5, 0.5], k=2, delta=0.2, dt_traj=0.05)
     norm = 1.0 / (2.0 * np.pi)
     rec = pw.reconstruct_along_center(bundle, pw.FreePotential(), 1.0, 1.0,

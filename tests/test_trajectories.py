@@ -57,7 +57,8 @@ def test_node_proximity_raises(circle):
 
 def test_plane_wave_trajectory(circle):
     psi = pw.plane_wave(circle, 2.0)
-    snaps = [psi.with_time(t) for t in np.linspace(0.0, 1.0, 11)]
+    snaps = [pw.WaveField(psi.grid, psi.values, t)
+             for t in np.linspace(0.0, 1.0, 11)]
     traj = pw.integrate_trajectory(snaps, [0.5], 0.01)
     assert abs(traj.positions[-1, 0] - 2.5) < 1e-8
     assert traj.status == "completed"
@@ -109,8 +110,8 @@ def test_gated_ensemble_records_exact_velocities_and_zero_after_halt():
     g = pw.SpatialGrid(64, (0.0, 2.0 * np.pi))
     q = g.axes[0]
     psi = pw.WaveField(g, np.exp(1j * q) + 0.9 * np.exp(-1j * q))
-    gf = pw.GuidingField([psi.with_time(t) for t in np.linspace(0.0, 2.0, 11)],
-                         node_eps=0.075)
+    gf = pw.GuidingField([pw.WaveField(g, psi.values, t)
+                          for t in np.linspace(0.0, 2.0, 11)], node_eps=0.075)
     x0 = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)[:, None]
     ens = integrate_ensemble(gf, x0, 0.0, 2.0, 0.03, record_stride=3,
                              record_velocities=True)
@@ -173,7 +174,8 @@ def test_empty_ensemble(free_gaussian_run):
 
 def test_trajectory_halts_at_node(circle):
     psi = pw.superpose(pw.plane_wave(circle, 1.0), pw.plane_wave(circle, -1.0))
-    snaps = [psi.with_time(t) for t in np.linspace(0.0, 1.0, 11)]
+    snaps = [pw.WaveField(psi.grid, psi.values, t)
+             for t in np.linspace(0.0, 1.0, 11)]
     traj = pw.integrate_trajectory(snaps, [np.pi / 2], 0.01, node_eps=0.05)
     assert traj.status == "halted"
     assert traj.halt_time == 0.0
@@ -235,7 +237,8 @@ def test_2d_configuration_space_guidance():
     psi = pw.plane_wave(g, (2.0, -1.0))
     v = pw.velocity_at(psi, [1.0, 4.0])
     assert np.allclose(v, [2.0, -1.0], atol=1e-9)
-    snaps = [psi.with_time(t) for t in np.linspace(0.0, 1.0, 11)]
+    snaps = [pw.WaveField(psi.grid, psi.values, t)
+             for t in np.linspace(0.0, 1.0, 11)]
     traj = pw.integrate_trajectory(snaps, [0.5, 0.5], 0.02)
     assert np.allclose(traj.positions[-1], [2.5, -0.5], atol=1e-8)
 
