@@ -6,10 +6,11 @@ construction, so they can be shared freely across threads and cached
 aggressively.
 """
 
-import heapq
 import warnings
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .errors import AllNodesError, UnwrapResidueWarning
 from .grid import SpatialGrid
@@ -20,6 +21,8 @@ from .operators import (
 )
 
 _TWO_PI = 2.0 * np.pi
+# |psi| / max|psi| below which a cell's phase is roundoff
+_RESIDUE_FLOOR = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -134,47 +137,39 @@ def _unwrap_1d(theta: np.ndarray, anchor: int) -> np.ndarray:
 
 
 def _unwrap_2d(theta: np.ndarray, quality: np.ndarray, anchor: tuple) -> np.ndarray:
-    """Quality-guided unwrap: grow the unwrapped region from the anchor,
-    always absorbing the highest-|psi| frontier cell next.
-
-    Paths through high-quality cells avoid node neighborhoods where the
-    phase is unreliable. Periodic neighbors are used, so the seam is not
-    special.
-    """
-    n0, n1 = theta.shape
-    unwrapped = np.full_like(theta, np.nan)
-    done = np.zeros(theta.shape, dtype=bool)
-    unwrapped[anchor] = theta[anchor]
-    done[anchor] = True
-    counter = 0  # tie-break keeps heap ordering deterministic
-    heap = []
-
-    def push_neighbors(i, j):
-        nonlocal counter
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = (i + di) % n0, (j + dj) % n1
-            if not done[ni, nj]:
-                heapq.heappush(heap, (-quality[ni, nj], counter, ni, nj, i, j))
-                counter += 1
-
-    push_neighbors(*anchor)
-    while heap:
-        _, _, i, j, pi, pj = heapq.heappop(heap)
-        if done[i, j]:
-            continue
-        delta = wrap_angle(theta[i, j] - theta[pi, pj])
-        unwrapped[i, j] = unwrapped[pi, pj] + delta
-        done[i, j] = True
-        push_neighbors(i, j)
-    return unwrapped
+    """Quality-guided unwrap along a maximum-reliability spanning tree of the
+    periodic 4-neighbour grid (Herraez et al., Appl. Opt. 41, 7437, 2002;
+    Ghiglia & Pritt 1998): edge weights fall as min(|psi_u|, |psi_v|) rises,
+    so paths avoid node cells. Integer branch steps along the tree are summed
+    to the anchor by pointer doubling, so S = theta + 2*pi*k is exact."""
+    idx = np.arange(theta.size).reshape(theta.shape)
+    tails = np.tile(idx.ravel(), 2)
+    heads = np.concatenate([np.roll(idx, -1, axis=a).ravel() for a in (0, 1)])
+    q = quality.ravel()
+    weight = 2.0 * q.max() - np.minimum(q[tails], q[heads])  # > 0: kept as edges
+    graph = coo_matrix((weight, (tails, heads)), shape=(theta.size,) * 2)
+    root = int(np.ravel_multi_index(anchor, theta.shape))
+    _, parent = breadth_first_order(minimum_spanning_tree(graph), root,
+                                    directed=False, return_predecessors=True)
+    parent[root] = root
+    th, tp = theta.ravel(), theta.ravel()[parent]
+    k = np.rint((tp + wrap_angle(th - tp) - th) / _TWO_PI).astype(np.int64)
+    while np.any(parent != root):  # k[v]: steps from v up to parent[v]
+        k += k[parent]
+        parent = parent[parent]
+    return theta + _TWO_PI * k.reshape(theta.shape)
 
 
-def _residues_2d(theta: np.ndarray) -> np.ndarray:
-    """Integer winding of each 2x2 plaquette (periodic), nonzero at defects."""
+def _residues_2d(theta: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Integer winding of each 2x2 plaquette (periodic), nonzero at defects;
+    zero if a corner's |psi| is below _RESIDUE_FLOOR * max (roundoff phase)."""
     d0 = wrap_angle(np.roll(theta, -1, axis=0) - theta)
     d1 = wrap_angle(np.roll(theta, -1, axis=1) - theta)
     loop = d0 + np.roll(d1, -1, axis=0) - np.roll(d0, -1, axis=1) - d1
-    return np.rint(loop / _TWO_PI).astype(int)
+    ok = R >= _RESIDUE_FLOOR * R.max()
+    ok &= np.roll(ok, -1, axis=0)
+    ok &= np.roll(ok, -1, axis=1)
+    return np.where(ok, np.rint(loop / _TWO_PI), 0.0).astype(int)
 
 
 def to_polar(psi: WaveField, node_eps: float = 1e-6, hbar: float = 1.0) -> PolarField:
@@ -182,6 +177,10 @@ def to_polar(psi: WaveField, node_eps: float = 1e-6, hbar: float = 1.0) -> Polar
 
     Cells with |psi| < node_eps * max|psi| are masked as nodes; S is still
     assigned there (the unwrap walks through) but must not be trusted.
+    In 2D, S is unwrapped along a reliability-sorted spanning tree
+    (``_unwrap_2d``; Herraez et al. 2002, Ghiglia & Pritt 1998); on node
+    cells, and past the branch cut of a node-free field with net winding,
+    it is fixed only up to whole multiples of 2*pi*hbar.
     Raises AllNodesError when the mask covers the whole grid.
     """
     if node_eps <= 0:
@@ -202,7 +201,7 @@ def to_polar(psi: WaveField, node_eps: float = 1e-6, hbar: float = 1.0) -> Polar
     else:
         anchor = np.unravel_index(anchor_flat, R.shape)
         S = _unwrap_2d(theta, R, anchor)
-        residues = _residues_2d(theta)
+        residues = _residues_2d(theta, R)
         if np.any(residues):
             warnings.warn(
                 f"phase unwrap found {int(np.count_nonzero(residues))} residue "

@@ -31,7 +31,7 @@ from .errors import ConfigError, InsufficientBundleError, ScenarioFailure
 from .fields import density
 from .grid import SpatialGrid
 from .reconstruction import (
-    build_bundle,
+    Bundle,
     bundle_convergence,
     classical_reconstruct,
     reconstruct_along_center,
@@ -49,6 +49,7 @@ from .states import double_slit_state, gaussian_packet
 from .stats import chi_square_gof, ks_statistic
 from .trajectories import (
     GuidingField,
+    Trajectory,
     count_axis_crossings,
     divergence_experiment,
     propagate_ensemble,
@@ -410,8 +411,8 @@ def _run_reconstruction(cfg, out):
     errs = [r.err_s for r in rows]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
 
-    single = build_bundle(gf, [bcfg["x0"]], 0, bcfg["deltas"][-1],
-                          cfg["run"]["dt_traj"])
+    center = Trajectory(gf.times[:1], [bcfg["x0"]])  # k = 0 reads no path
+    single = Bundle(center, [[center]], bcfg["deltas"][-1], k=0)
     try:
         reconstruct_along_center(single, pot, mass, hbar, 0.0,
                                  lambda pts: np.ones(len(pts)))

@@ -2,10 +2,15 @@
 
 Everything here is derived by hand from closed-form solutions and kept
 free of any package solver code, so agreement between the two is a real
-cross-check rather than a tautology. The one exception is
-``per_snapshot_hermite_velocity``, a reference evaluation order for
-``GuidingField.velocity`` that reads the field's own grids.
+cross-check rather than a tautology. The exceptions are reference
+algorithms kept beside the faster package code they check:
+``per_snapshot_hermite_velocity``, an evaluation order for
+``GuidingField.velocity`` that reads the field's own grids, and
+``heap_unwrap_2d``, the cell-by-cell walk that the spanning-tree unwrap of
+``to_polar`` replaced.
 """
+
+import heapq
 
 import numpy as np
 from scipy import ndimage
@@ -123,3 +128,39 @@ def per_snapshot_hermite_velocity(gf, x, t):
     rho = (1 - s) * rho_at(k) + s * rho_at(k + 1)
     gate = (1 - s) * gf._gate[k] + s * gf._gate[k + 1]
     return v, rho < gate
+
+
+def heap_unwrap_2d(theta, quality, anchor):
+    """Reference quality-guided unwrap: grow the unwrapped region from the
+    anchor, always absorbing the highest-quality frontier cell next and
+    adding the wrapped difference to the cell it was reached from
+    (periodic neighbors, ties broken by push order).
+    """
+    def wrap(x):
+        return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
+
+    n0, n1 = theta.shape
+    unwrapped = np.full_like(theta, np.nan)
+    done = np.zeros(theta.shape, dtype=bool)
+    unwrapped[anchor] = theta[anchor]
+    done[anchor] = True
+    counter = 0
+    heap = []
+
+    def push_neighbors(i, j):
+        nonlocal counter
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            ni, nj = (i + di) % n0, (j + dj) % n1
+            if not done[ni, nj]:
+                heapq.heappush(heap, (-quality[ni, nj], counter, ni, nj, i, j))
+                counter += 1
+
+    push_neighbors(*anchor)
+    while heap:
+        _, _, i, j, pi, pj = heapq.heappop(heap)
+        if done[i, j]:
+            continue
+        unwrapped[i, j] = unwrapped[pi, pj] + wrap(theta[i, j] - theta[pi, pj])
+        done[i, j] = True
+        push_neighbors(i, j)
+    return unwrapped

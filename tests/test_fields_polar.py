@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import pilotwave as pw
-from oracles import brute_force_zeros
+from oracles import brute_force_zeros, heap_unwrap_2d
+from pilotwave.operators import wrap_angle
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +104,89 @@ def test_2d_vortex_flags_residues():
     psi = pw.WaveField(g, vortex).normalize()
     with pytest.warns(pw.UnwrapResidueWarning):
         pol = pw.to_polar(psi, node_eps=0.05)
-    assert np.any(pol.residues)
-    assert np.any(pol.node_mask)
+    # the field is not periodic, so seam plaquettes are flagged too; the
+    # true vortex must be among them although all its corners are masked
+    assert pol.residues[15, 15] != 0
+    assert pol.node_mask[15:17, 15:17].all()
+
+
+@pytest.mark.parametrize("corner", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_residue_needs_every_corner_above_roundoff(corner):
+    g = pw.SpatialGrid((16, 16), ((-1.0, 1.0), (-1.0, 1.0)))
+    x, y = g.coordinates()
+    vortex = (x + 0.0625) + 1j * (y + 0.0625)  # centred in plaquette [7, 7]
+    faint = vortex.copy()
+    faint[7 + corner[0], 7 + corner[1]] *= 1e-14  # same phase, roundoff |psi|
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pw.UnwrapResidueWarning)
+        assert pw.to_polar(pw.WaveField(g, vortex)).residues[7, 7] != 0
+        assert pw.to_polar(pw.WaveField(g, faint)).residues[7, 7] == 0
+
+
+def _slit_field():
+    """Vortex-free separable 2D field whose node regions reach roundoff:
+    a small double slit after 20 free steps (|psi| / max down to 1e-17)."""
+    box = 4.0 * np.pi
+    g = pw.SpatialGrid((64, 64), ((-box, box), (-box, box)))
+    psi0 = pw.double_slit_state(g, separation=4.0, width=0.8,
+                                forward_momentum=2.0)
+    cfg = pw.PropagatorConfig(dt=0.01, steps=20, snapshot_stride=20)
+    return pw.propagate(psi0, pw.FreePotential(), cfg)[-1]
+
+
+def test_2d_vortex_free_field_with_nodes_has_no_residues():
+    psi = _slit_field()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", pw.UnwrapResidueWarning)
+        pol = pw.to_polar(psi)
+    assert pol.node_mask.any()
+    assert not np.any(pol.residues)
+
+
+def _fields_2d():
+    g = pw.SpatialGrid((64, 64), ((-10.0, 10.0), (-10.0, 10.0)))
+    lattice = 2.0 * np.pi / 20.0
+    return {
+        "gaussian": pw.gaussian_packet(g, (0.5, -1.0), (1.0, 2.0)),
+        # windings 3 and -2 across the seam, under an envelope
+        "winding": pw.gaussian_packet(g, (1.0, -2.0), (1.0, 1.5),
+                                      momentum=(3 * lattice, -2 * lattice)),
+        "nodes": _slit_field(),
+    }
+
+
+def _anchor(R):
+    return np.unravel_index(int(np.argmax(R.ravel() >= (1.0 - 1e-12) * R.max())),
+                            R.shape)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "winding", "nodes"])
+def test_tree_unwrap_matches_heap_reference(name):
+    psi = _fields_2d()[name]
+    pol = pw.to_polar(psi)
+    R = np.abs(psi.values)
+    anchor = _anchor(R)
+    ref = heap_unwrap_2d(np.angle(psi.values), R, anchor)
+    off = ~pol.node_mask
+    assert pol.node_mask.any() and off.any()
+    assert np.max(np.abs(pol.S - ref)[off]) <= 1e-12
+    assert np.max(np.abs(wrap_angle(pol.S - ref))) <= 1e-12
+    assert pol.S[anchor] == ref[anchor]
+
+
+@pytest.mark.parametrize("name", ["winding", "nodes"])
+def test_tree_unwrap_adds_whole_turns_only(name):
+    psi = _fields_2d()[name]
+    theta = np.angle(psi.values)
+    S = pw.to_polar(psi).S
+    turns = np.rint((S - theta) / (2.0 * np.pi))
+    assert np.array_equal(S, theta + 2.0 * np.pi * turns)
+    assert np.any(turns != 0)
+
+
+def test_tree_unwrap_is_deterministic():
+    psi = _slit_field()
+    assert np.array_equal(pw.to_polar(psi).S, pw.to_polar(psi).S)
 
 
 def test_density_values_and_normalization(grid1d):

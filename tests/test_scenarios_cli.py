@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 import pilotwave as pw
-from pilotwave import cli
+from pilotwave import cli, reconstruction
 from pilotwave.scenarios import (
     REGISTRY,
     list_scenarios,
@@ -164,3 +164,22 @@ def test_equivariance_scenario_end_to_end(tmp_path):
     stats = (tmp_path / "eq" / "ensemble_stats.csv").read_text().splitlines()
     ks_column = [float(line.split(",")[1]) for line in stats]
     assert ks_column and all(ks < 0.02 for ks in ks_column)
+
+
+def test_reconstruction_refuses_k0_without_integrating(tmp_path, monkeypatch):
+    calls = []
+    real = reconstruction.integrate_ensemble
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruction, "integrate_ensemble", counting)
+    cfg = load_config(CONFIG_DIR / "reconstruction-bundle.yaml")
+    cfg["output"]["directory"] = str(tmp_path / "rb")
+    report = run_scenario(cfg)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["k0_insufficient_bundle"]["passed"]
+    # one batch for the spacing sweep (center + 2k per spacing); the k = 0
+    # refusal reads no trajectory, so it integrates none
+    assert calls == [1 + 2 * 4 * 3]
