@@ -7,9 +7,11 @@ Field files start with a single comment header
 (multi-axis values comma-separated), followed by rows ``q[,q2],re,im``.
 All floats are written with 17 significant digits, which round-trips IEEE
 doubles bit-exactly.
-Rows go through ``np.savetxt(fmt="%.17g")``; ``"%.17g" % x`` is the same
-text as ``format(x, ".17g")`` used for headers and the convergence table
-(whose undefined slopes stay blank), so every file shares one float format.
+Rows go through ``_write_rows``, which writes the bytes of
+``np.savetxt(fmt="%.17g", delimiter=",")`` a block of rows per ``%``
+call; ``"%.17g" % x`` is the same text as ``format(x, ".17g")`` used for
+headers and the convergence table (whose undefined slopes stay blank), so
+every file shares one float format.
 """
 
 import numpy as np
@@ -17,9 +19,27 @@ import numpy as np
 from .fields import WaveField
 from .grid import SpatialGrid
 
+_BLOCK_ROWS = 4096
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _write_rows(fh, rows, fmts) -> None:
+    """Write ``rows`` (2D, or 1D as one column) as comma-separated lines,
+    one %-format per column in ``fmts`` (a string means the same for every
+    column): the text ``np.savetxt`` writes, built one block of rows at a
+    time so the temporaries stay small."""
+    rows = np.asarray(rows)
+    if rows.ndim == 1:
+        rows = rows.reshape(-1, 1)
+    if isinstance(fmts, str):
+        fmts = [fmts] * rows.shape[1]
+    line = ",".join(fmts) + "\n"
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _grid_header(grid: SpatialGrid, t: float) -> str:
@@ -50,7 +70,7 @@ def dump_wave_field(path, field: WaveField) -> None:
     cols += [flat.real, flat.imag]
     with open(path, "w") as fh:
         fh.write(_grid_header(field.grid, field.time) + "\n")
-        np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",")
+        _write_rows(fh, np.column_stack(cols), "%.17g")
 
 
 def load_wave_field(path) -> WaveField:
@@ -69,13 +89,14 @@ def dump_trajectories(path, trajectories) -> None:
             n, dim = traj.positions.shape
             cols = [np.full(n, tid), traj.times, traj.positions,
                     np.full(n, traj.halted)]
-            np.savetxt(fh, np.column_stack(cols), delimiter=",",
-                       fmt=["%d"] + ["%.17g"] * (dim + 1) + ["%d"])
+            _write_rows(fh, np.column_stack(cols),
+                        ["%d"] + ["%.17g"] * (dim + 1) + ["%d"])
 
 
 def dump_ensemble_stats(path, rows) -> None:
     """Rows ``t,ks_stat,halted_frac``."""
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",")
+    with open(path, "w") as fh:
+        _write_rows(fh, rows, "%.17g")
 
 
 def dump_convergence_table(path, rows) -> None:
@@ -89,5 +110,6 @@ def dump_convergence_table(path, rows) -> None:
 
 def dump_table(path, header_cols, rows) -> None:
     """Generic helper: comment header naming the columns, then float rows."""
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
-               header=",".join(header_cols), comments="# ")
+    with open(path, "w") as fh:
+        fh.write("# " + ",".join(header_cols) + "\n")
+        _write_rows(fh, rows, "%.17g")

@@ -12,14 +12,38 @@ Two families are provided:
 Phase fields get a third treatment: ``phase_gradient`` differentiates a
 wrapped angle directly through single-cell wrapped differences, so it never
 needs a global unwrap and is immune to 2*pi jumps.
+
+Every transform in the package is ``scipy.fft`` on complex input: the
+multi-axis ones through ``fftn`` / ``ifftn`` here, which run the axes last
+first as ``numpy.fft.fftn`` does, so the output bytes equal numpy's. Real
+input is cast to complex first; scipy's real-input route gives different
+roundoff.
 """
 
 import numpy as np
+import scipy.fft
 
 from .grid import SpatialGrid
 
 _FD1_COEFF = (8.0, -1.0)  # f' ~ [8(f+1 - f-1) - (f+2 - f-2)] / 12 dx
 _TWO_PI = 2.0 * np.pi
+
+
+def fftn(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Complex n-dimensional DFT over all axes, last axis first.
+
+    ``overwrite_x`` lets the transform reuse a complex input's buffer.
+    """
+    values = np.asarray(values, dtype=complex)
+    return scipy.fft.fftn(values, axes=tuple(range(values.ndim))[::-1],
+                          overwrite_x=overwrite_x)
+
+
+def ifftn(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Inverse of ``fftn``, with the same axis order and buffer rule."""
+    values = np.asarray(values, dtype=complex)
+    return scipy.fft.ifftn(values, axes=tuple(range(values.ndim))[::-1],
+                           overwrite_x=overwrite_x)
 
 
 def spectral_gradient(values: np.ndarray, grid: SpatialGrid, axis: int = 0) -> np.ndarray:
@@ -34,7 +58,9 @@ def spectral_gradient(values: np.ndarray, grid: SpatialGrid, axis: int = 0) -> n
     ik[n // 2] = 0.0
     shape = [1] * values.ndim
     shape[axis] = n
-    out = np.fft.ifft(np.fft.fft(values, axis=axis) * ik.reshape(shape), axis=axis)
+    spec = scipy.fft.fft(np.asarray(values, dtype=complex), axis=axis)
+    spec *= ik.reshape(shape)
+    out = scipy.fft.ifft(spec, axis=axis, overwrite_x=True)
     if not np.iscomplexobj(values):
         return out.real
     return out
@@ -42,7 +68,9 @@ def spectral_gradient(values: np.ndarray, grid: SpatialGrid, axis: int = 0) -> n
 
 def spectral_laplacian(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Sum of second derivatives over all axes, computed in Fourier space."""
-    out = np.fft.ifftn(np.fft.fftn(values) * (-grid.k_squared()))
+    spec = fftn(values)
+    spec *= -grid.k_squared()
+    out = ifftn(spec, overwrite_x=True)
     if not np.iscomplexobj(values):
         return out.real
     return out

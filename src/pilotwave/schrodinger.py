@@ -11,6 +11,14 @@ above dx^2 m / (pi hbar)) is raised only when the potential is non-zero
 somewhere on the grid. Periodic boundaries are implicit in the FFT:
 scenarios must keep packets away from the seam, and an optional edge
 monitor warns when they do not.
+
+The transforms are ``scipy.fft.fftn`` / ``ifftn`` through the
+``operators.fftn`` / ``ifftn`` helpers (axes last first, the bytes of
+``numpy.fft``). A step runs in place on the two buffers the loop owns:
+the first three transforms overwrite their input and the kinetic
+half-phases multiply in place. The last inverse transform keeps its
+spectrum, which the aliasing check reads; emitted snapshots copy the
+values, so none shares a buffer with the loop.
 """
 
 import warnings
@@ -21,7 +29,7 @@ import numpy as np
 from .errors import AliasingWarning, EdgeLeakWarning, StepSizeWarning
 from .fields import WaveField
 from .grid import SpatialGrid
-from .operators import spectral_gradient
+from .operators import fftn, ifftn, spectral_gradient
 
 
 class Potential:
@@ -96,13 +104,8 @@ class PropagatorConfig:
             raise ValueError("snapshot_stride must be at least 1")
 
 
-def _aliasing_fraction(spec: np.ndarray, grid: SpatialGrid) -> float:
-    """Fraction of the norm carried by the top 10% of |k| per axis, read
-    from the field's spectrum ``spec`` (its fftn)."""
-    spec = np.abs(spec) ** 2
-    total = spec.sum()
-    if total == 0.0:
-        return 0.0
+def _tail_mask(grid: SpatialGrid) -> np.ndarray:
+    """The modes in the top 10% of |k| along any axis."""
     tail = np.zeros(grid.shape, dtype=bool)
     for a in range(grid.dim):
         k = grid.wavenumbers(a)
@@ -110,6 +113,16 @@ def _aliasing_fraction(spec: np.ndarray, grid: SpatialGrid) -> float:
         shape = [1] * grid.dim
         shape[a] = grid.shape[a]
         tail |= (np.abs(k) >= 0.9 * kmax).reshape(shape)
+    return tail
+
+
+def _aliasing_fraction(spec: np.ndarray, tail: np.ndarray) -> float:
+    """Fraction of the norm carried by the ``tail`` modes (``_tail_mask``),
+    read from the field's spectrum ``spec`` (its fftn)."""
+    spec = np.abs(spec) ** 2
+    total = spec.sum()
+    if total == 0.0:
+        return 0.0
     return float(spec[tail].sum() / total)
 
 
@@ -148,9 +161,10 @@ def propagate(psi0: WaveField, potential: Potential, cfg: PropagatorConfig) -> l
     half_kinetic = np.exp(-1j * cfg.hbar * grid.k_squared() * cfg.dt
                           / (4.0 * cfg.mass))
     v_phase = np.exp(-1j * v_field * cfg.dt / cfg.hbar)
+    tail = _tail_mask(grid)
 
     def checks(values, spec, t):
-        frac = _aliasing_fraction(spec, grid)
+        frac = _aliasing_fraction(spec, tail)
         if frac > 1e-8:
             warnings.warn(
                 f"k-space tail fraction {frac:.3e} at t={t:g} "
@@ -169,14 +183,16 @@ def propagate(psi0: WaveField, potential: Potential, cfg: PropagatorConfig) -> l
 
     values = psi0.values.copy()
     t0 = psi0.time
-    checks(values, np.fft.fftn(values), t0)
+    checks(values, fftn(values), t0)
     snapshots = [psi0]
     for step in range(1, cfg.steps + 1):
-        spec = np.fft.fftn(values)
-        values = np.fft.ifftn(spec * half_kinetic)
+        spec = fftn(values, overwrite_x=True)
+        spec *= half_kinetic
+        values = ifftn(spec, overwrite_x=True)
         values *= v_phase
-        spec = np.fft.fftn(values) * half_kinetic
-        values = np.fft.ifftn(spec)
+        spec = fftn(values, overwrite_x=True)
+        spec *= half_kinetic
+        values = ifftn(spec)
         if step % cfg.snapshot_stride == 0 or step == cfg.steps:
             t = t0 + step * cfg.dt
             checks(values, spec, t)
@@ -188,7 +204,7 @@ def expectation_energy(psi: WaveField, potential: Potential,
                        mass: float = 1.0, hbar: float = 1.0) -> float:
     """<H> = kinetic (in k-space) + potential expectation."""
     grid = psi.grid
-    spec = np.fft.fftn(psi.values)
+    spec = fftn(psi.values)
     k2 = grid.k_squared()
     # Parseval: sum|fft|^2 * dv / N integrates |psi_hat|^2 consistently
     weight = grid.cell_volume / grid.size

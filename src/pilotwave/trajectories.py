@@ -57,27 +57,23 @@ def wave_velocity_grids(psi: WaveField, mass: float, hbar: float,
 def polar_velocity_grids(polar: PolarField, mass: float) -> list[np.ndarray]:
     """Guiding velocity grad(S)/m from a polar decomposition.
 
-    Node-free fields use the spectral gradient after peeling off the
-    winding slope (the unwrapped S of a state with net momentum is not
-    periodic; the residual after subtracting the linear part is). Fields
-    with masked nodes fall back to the wrapped-difference 4th-order
-    stencil, which keeps the damage from node cells local.
+    Node-free 1D fields use the spectral gradient after peeling off the
+    winding slope: the unwrapped S of a state with net momentum is not
+    periodic, but the 1D unwrap puts its one branch cut on the seam, so
+    the residual after subtracting the linear part is. 2D unwraps put their
+    cuts inside the box, and fields with masked nodes have none that can be
+    trusted; both take the wrapped-difference 4th-order stencil, which does
+    not care where the 2*pi jumps sit and keeps the damage from node cells
+    local.
     """
     grid = polar.grid
     theta = polar.S / polar.hbar
-    if polar.node_mask.any():
+    if polar.node_mask.any() or grid.dim > 1:
         return [polar.hbar * phase_gradient(theta, grid, axis=a) / mass
                 for a in range(grid.dim)]
-    coords = grid.coordinates()
-    s_per = polar.S.copy()
-    slopes = []
-    for a in range(grid.dim):
-        w = phase_winding(theta, grid, axis=a)
-        slope = polar.hbar * _TWO_PI * w / grid.lengths[a]
-        slopes.append(slope)
-        s_per = s_per - slope * (coords[a] - grid.qmin[a])
-    return [(spectral_gradient(s_per, grid, axis=a) + slopes[a]) / mass
-            for a in range(grid.dim)]
+    slope = polar.hbar * _TWO_PI * phase_winding(theta, grid) / grid.lengths[0]
+    s_per = polar.S - slope * (grid.coordinates()[0] - grid.qmin[0])
+    return [(spectral_gradient(s_per, grid) + slope) / mass]
 
 
 class GuidingField:

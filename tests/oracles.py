@@ -5,9 +5,10 @@ free of any package solver code, so agreement between the two is a real
 cross-check rather than a tautology. The exceptions are reference
 algorithms kept beside the faster package code they check:
 ``per_snapshot_hermite_velocity``, an evaluation order for
-``GuidingField.velocity`` that reads the field's own grids, and
+``GuidingField.velocity`` that reads the field's own grids,
 ``heap_unwrap_2d``, the cell-by-cell walk that the spanning-tree unwrap of
-``to_polar`` replaced.
+``to_polar`` replaced, and ``numpy_split_step``, the ``numpy.fft`` loop
+that the in-place ``scipy.fft`` loop of ``propagate`` replaced.
 """
 
 import heapq
@@ -164,3 +165,23 @@ def heap_unwrap_2d(theta, quality, anchor):
         done[i, j] = True
         push_neighbors(i, j)
     return unwrapped
+
+
+def numpy_split_step(values, k_squared, v_field, dt, steps, stride,
+                     hbar=1.0, mass=1.0):
+    """Reference Strang split step exp(-iK dt/2) exp(-iV dt) exp(-iK dt/2)
+    on ``numpy.fft``, out of place. Returns the field at step 0, every
+    ``stride``-th step and the last step, as ``propagate`` emits them."""
+    half_kinetic = np.exp(-1j * hbar * k_squared * dt / (4.0 * mass))
+    v_phase = np.exp(-1j * v_field * dt / hbar)
+    values = np.array(values, dtype=complex)
+    out = [values.copy()]
+    for step in range(1, steps + 1):
+        spec = np.fft.fftn(values)
+        values = np.fft.ifftn(spec * half_kinetic)
+        values *= v_phase
+        spec = np.fft.fftn(values) * half_kinetic
+        values = np.fft.ifftn(spec)
+        if step % stride == 0 or step == steps:
+            out.append(values.copy())
+    return out

@@ -3,7 +3,11 @@ import pytest
 from scipy import ndimage
 
 import pilotwave as pw
-from pilotwave.trajectories import GuidingField, integrate_ensemble
+from pilotwave.trajectories import (
+    GuidingField,
+    integrate_ensemble,
+    polar_velocity_grids,
+)
 from oracles import (
     free_gaussian_psi,
     free_gaussian_trajectory,
@@ -241,6 +245,27 @@ def test_2d_configuration_space_guidance():
              for t in np.linspace(0.0, 1.0, 11)]
     traj = pw.integrate_trajectory(snaps, [0.5, 0.5], 0.02)
     assert np.allclose(traj.positions[-1], [2.5, -0.5], atol=1e-8)
+
+
+def test_2d_polar_velocity_of_a_node_free_field_with_winding():
+    """grad(S)/m of a 2D polar field with net winding on both axes: the
+    unwrap's branch cuts run inside the box, and the velocity must not
+    see them. The amplitude 2 + cos cos keeps the field node-free, so S is
+    exactly k.q and the velocity exactly k."""
+    g = pw.SpatialGrid((64, 64), ((-10.0, 10.0),) * 2)
+    k = np.array([3.0, -2.0]) * 2.0 * np.pi / 20.0
+    x, y = g.coordinates()
+    amp = 2.0 + np.cos(2.0 * np.pi * x / 20.0) * np.cos(2.0 * np.pi * y / 20.0)
+    psi = pw.WaveField(g, amp * np.exp(1j * (k[0] * x + k[1] * y)))
+    polar = pw.to_polar(psi)
+    assert not polar.node_mask.any()
+    v = polar_velocity_grids(polar, 1.0)
+    for a in range(2):
+        assert np.max(np.abs(v[a] - k[a])) < 1e-10
+    gf = GuidingField([polar], mass=1.0)
+    vq, flags = gf.velocity(np.array([[1.0, -3.0], [-7.5, 8.2]]), 0.0)
+    assert not flags.any()
+    assert np.max(np.abs(vq - k)) < 1e-10
 
 
 def _interfering_snapshots(dim):
