@@ -94,15 +94,22 @@ class SpatialGrid:
         """Integral over the box: rectangle rule, exact for band-limited data."""
         return float(np.sum(values) * self.cell_volume)
 
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Map positions into [qmin, qmax) per axis (periodic identification)."""
-        x = np.asarray(x, dtype=float)
-        return self.qmin + np.mod(x - self.qmin, self.lengths)
-
     def to_fractional_index(self, x: np.ndarray) -> np.ndarray:
-        """Positions -> fractional grid indices (for interpolation), wrapped."""
-        x = np.asarray(x, dtype=float)
-        return np.mod(x - self.qmin, self.lengths) / self.dx
+        """Positions -> fractional grid indices (for interpolation), wrapped.
+
+        The bytes equal ``np.mod(x - qmin, lengths) / dx``. Only the entries
+        whose offset ``x - qmin`` lies outside [0, lengths) take the modulo.
+        The modulo returns an in-box offset unchanged except -0.0, which it
+        maps to +0.0; ``+= 0.0`` does that for the entries it skips.
+        """
+        d = np.asarray(x, dtype=float) - self.qmin
+        outside = (d < 0.0) | (d >= self.lengths)
+        if np.count_nonzero(outside):
+            lengths = np.broadcast_to(self.lengths, d.shape)
+            d[outside] = np.mod(d[outside], lengths[outside])
+        d += 0.0
+        d /= self.dx
+        return d
 
     def __eq__(self, other):
         if not isinstance(other, SpatialGrid):

@@ -13,11 +13,13 @@ Phase fields get a third treatment: ``phase_gradient`` differentiates a
 wrapped angle directly through single-cell wrapped differences, so it never
 needs a global unwrap and is immune to 2*pi jumps.
 
-Every transform in the package is ``scipy.fft`` on complex input: the
-multi-axis ones through ``fftn`` / ``ifftn`` here, which run the axes last
-first as ``numpy.fft.fftn`` does, so the output bytes equal numpy's. Real
-input is cast to complex first; scipy's real-input route gives different
-roundoff.
+Every transform in the package is ``scipy.fft`` on complex input, through
+``fftn`` / ``ifftn`` here. 1D input goes to ``scipy.fft.fft`` / ``ifft``,
+which skip the n-D argument handling and run the same transform; 2D input
+goes to ``scipy.fft.fftn`` / ``ifftn`` with the axes last first, as
+``numpy.fft.fftn`` runs them. Either way the output bytes equal numpy's.
+Real input is cast to complex first; scipy's real-input route gives
+different roundoff.
 """
 
 import numpy as np
@@ -32,9 +34,12 @@ _TWO_PI = 2.0 * np.pi
 def fftn(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Complex n-dimensional DFT over all axes, last axis first.
 
+    1D input takes ``scipy.fft.fft``, the cheaper call for one axis.
     ``overwrite_x`` lets the transform reuse a complex input's buffer.
     """
     values = np.asarray(values, dtype=complex)
+    if values.ndim == 1:
+        return scipy.fft.fft(values, overwrite_x=overwrite_x)
     return scipy.fft.fftn(values, axes=tuple(range(values.ndim))[::-1],
                           overwrite_x=overwrite_x)
 
@@ -42,6 +47,8 @@ def fftn(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
 def ifftn(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Inverse of ``fftn``, with the same axis order and buffer rule."""
     values = np.asarray(values, dtype=complex)
+    if values.ndim == 1:
+        return scipy.fft.ifft(values, overwrite_x=overwrite_x)
     return scipy.fft.ifftn(values, axes=tuple(range(values.ndim))[::-1],
                            overwrite_x=overwrite_x)
 

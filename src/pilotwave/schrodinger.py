@@ -12,13 +12,13 @@ somewhere on the grid. Periodic boundaries are implicit in the FFT:
 scenarios must keep packets away from the seam, and an optional edge
 monitor warns when they do not.
 
-The transforms are ``scipy.fft.fftn`` / ``ifftn`` through the
-``operators.fftn`` / ``ifftn`` helpers (axes last first, the bytes of
-``numpy.fft``). A step runs in place on the two buffers the loop owns:
-the first three transforms overwrite their input and the kinetic
-half-phases multiply in place. The last inverse transform keeps its
-spectrum, which the aliasing check reads; emitted snapshots copy the
-values, so none shares a buffer with the loop.
+The transforms go through the ``operators.fftn`` / ``ifftn`` helpers:
+``scipy.fft.fft`` / ``ifft`` in 1D, ``scipy.fft.fftn`` / ``ifftn`` with the
+axes last first in 2D, the bytes of ``numpy.fft`` either way. A step runs
+in place on the two buffers the loop owns: the first three transforms
+overwrite their input and the kinetic half-phases multiply in place. The
+last inverse transform keeps its spectrum, which the aliasing check reads;
+emitted snapshots copy the values, so none shares a buffer with the loop.
 """
 
 import warnings

@@ -150,11 +150,10 @@ class GuidingField:
         if last[0] != t:
             last = self._last_blend = (t, self._blend(t))
         v_coef, rho, gate = last[1]
-        v = np.stack([
-            ndimage.map_coordinates(c, coords, order=3, mode="grid-wrap",
-                                    prefilter=False)
-            for c in v_coef
-        ], axis=-1)
+        v = np.empty(coords.T.shape)
+        for a, c in enumerate(v_coef):
+            ndimage.map_coordinates(c, coords, output=v[:, a], order=3,
+                                    mode="grid-wrap", prefilter=False)
         flags = ndimage.map_coordinates(rho, coords, order=1,
                                         mode="grid-wrap") < gate
         return v, flags

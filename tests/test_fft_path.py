@@ -6,10 +6,12 @@ a difference.
 """
 
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import pilotwave as pw
 from pilotwave import schrodinger
@@ -79,6 +81,26 @@ def test_propagate_equals_numpy_split_step_bytes(shape, potential, stride):
     assert len(snaps) == len(want)
     for snap, ref in zip(snaps, want):
         assert snap.values.tobytes() == ref.tobytes(), snap.time
+
+
+@pytest.mark.parametrize("shape", [(512,), (32, 128)])
+def test_one_axis_fields_take_the_one_axis_transforms(monkeypatch, shape):
+    """A 1D split step costs four ``scipy.fft.fft`` / ``ifft`` calls, which
+    skip the n-D argument handling of ``fftn``; 2D fields take ``fftn``."""
+    counts = Counter()
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        def counted(*args, _name=name, _real=getattr(scipy.fft, name), **kw):
+            counts[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    dim = len(shape)
+    grid = pw.SpatialGrid(shape, [(-12.0, 12.0)] * dim)
+    psi0 = pw.gaussian_packet(grid, [0.5] * dim, 2.0)
+    steps = 9
+    cfg = pw.PropagatorConfig(dt=0.01, steps=steps, snapshot_stride=4)
+    pw.propagate(psi0, pw.FreePotential(), cfg)
+    prefix = "" if dim == 1 else "n"
+    assert counts == {"fft" + prefix: 2 * steps + 1, "ifft" + prefix: 2 * steps}
 
 
 def test_aliasing_check_reads_the_spectrum_of_each_emitted_field(monkeypatch):

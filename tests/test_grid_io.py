@@ -24,11 +24,53 @@ def test_grid_rejects_bad_extent():
         pw.SpatialGrid(32, (1.0, 1.0))
 
 
-def test_wrap_is_periodic():
+def test_fractional_index_is_periodic():
     g = pw.SpatialGrid(32, (-1.0, 1.0))
     x = np.array([[1.5], [-1.25], [0.3]])
-    w = g.wrap(x)
-    assert np.allclose(w, [[-0.5], [0.75], [0.3]])
+    idx = g.to_fractional_index(x)
+    assert np.array_equal(idx, [[8.0], [28.0], [20.8]])
+
+
+def _edge_values(qmin, qmax):
+    """Per-axis positions at and around the box edges, far outside it,
+    non-finite, and -0.0 (an edge case only where qmin is +0.0)."""
+    length = qmax - qmin
+    return np.array([
+        qmin, np.nextafter(qmin, -np.inf), qmin - 1e-9,
+        qmax, np.nextafter(qmax, -np.inf), np.nextafter(qmax, np.inf),
+        qmin + 0.5 * length, qmin + 1000.25 * length, qmax + 3.0 * length,
+        qmin - 12345.5 * length - 0.1, qmin - 7.0 * length,
+        -0.0, 0.0, np.nan, np.inf, -np.inf,
+    ])
+
+
+@pytest.mark.parametrize("grid", [
+    pw.SpatialGrid(64, (-3.0, 5.0)),
+    pw.SpatialGrid(32, (0.0, 2.0)),
+    pw.SpatialGrid((64, 32), ((-3.0, 5.0), (0.0, 2.0))),
+    pw.SpatialGrid((32, 16), ((0.0, 2.0), (-1.5, 0.5))),
+], ids=repr)
+def test_fractional_index_equals_mod_formula_bytes(grid):
+    """Only out-of-box offsets take the modulo; the bytes must still be
+    those of the modulo applied everywhere (tobytes, so -0 and NaN count)."""
+    rng = np.random.default_rng(3)
+    edges = [_edge_values(grid.qmin[a], grid.qmax[a]) for a in range(grid.dim)]
+    inside = grid.qmin + rng.random((200, grid.dim)) * grid.lengths
+    points = np.concatenate([
+        inside,
+        np.stack(np.meshgrid(*edges, indexing="ij"), axis=-1).reshape(-1, grid.dim),
+    ])
+    if np.any(grid.qmin == 0.0):
+        assert np.any(np.signbit(points - grid.qmin) & (points - grid.qmin == 0))
+    with np.errstate(invalid="ignore"):
+        want = np.mod(points - grid.qmin, grid.lengths) / grid.dx
+        got = grid.to_fractional_index(points)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    for row in (0, 201, len(points) - 1):
+        with np.errstate(invalid="ignore"):
+            single = grid.to_fractional_index(points[row])
+        assert single.tobytes() == want[row].tobytes(), points[row]
 
 
 def test_integrate_unit_density():
