@@ -14,7 +14,6 @@ demonstration.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import CausticDetectedError, UndefinedGradientError
 from .grid import SpatialGrid
@@ -121,6 +120,9 @@ class TransportedAction(ActionField):
 
     def __init__(self, times: np.ndarray, positions: list[np.ndarray],
                  values: list[np.ndarray]):
+        # imported here: only transport needs it, and it is slow to load
+        from scipy.interpolate import CubicSpline
+
         self.times = np.asarray(times, dtype=float)
         self._splines = [CubicSpline(x, s) for x, s in zip(positions, values)]
         self._ranges = [(float(x[0]), float(x[-1])) for x in positions]
@@ -338,6 +340,8 @@ def transport_classical(density0: ClassicalDensity, action: ActionField,
     min_jac = 1.0
 
     def resample(xc, vals, outside=0.0):
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(xc, vals)
         out = np.full(grid.shape[0], outside)
         inside = (q_nodes >= xc[0]) & (q_nodes <= xc[-1])

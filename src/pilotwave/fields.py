@@ -9,8 +9,6 @@ aggressively.
 import warnings
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .errors import AllNodesError, UnwrapResidueWarning
 from .grid import SpatialGrid
@@ -142,6 +140,10 @@ def _unwrap_2d(theta: np.ndarray, quality: np.ndarray, anchor: tuple) -> np.ndar
     Ghiglia & Pritt 1998): edge weights fall as min(|psi_u|, |psi_v|) rises,
     so paths avoid node cells. Integer branch steps along the tree are summed
     to the anchor by pointer doubling, so S = theta + 2*pi*k is exact."""
+    # imported here: only 2D polar fields need them, and they are slow to load
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+
     idx = np.arange(theta.size).reshape(theta.shape)
     tails = np.tile(idx.ravel(), 2)
     heads = np.concatenate([np.roll(idx, -1, axis=a).ravel() for a in (0, 1)])

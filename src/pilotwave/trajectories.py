@@ -10,10 +10,12 @@ accuracy bottleneck of the integrator: RK4's O(dt^4) is easily finer than
 the interpolation error, so tightening dt_traj beyond the snapshot spacing
 buys little. Both are linear in the grid values, so a query blends the
 prefiltered spline coefficients of the nearby snapshots in time first and
-then interpolates once in space: one cubic interpolation per axis and one
-linear one for |psi|^2. The last blend is kept, because RK4 stages 2 and 3
-query the same time. The field is defined only inside its snapshot
-window; a query outside it raises.
+then interpolates once in space: one cubic interpolation per axis. The
+node gate reads |psi|^2 linearly only at the points whose grid cell it
+cannot certify as safely above the gate, so far from the nodes it costs a
+table lookup. The last blend is kept, because RK4 stages 2 and 3 query the
+same time. The field is defined only inside its snapshot window; a query
+outside it raises.
 
 Positions are integrated in unwrapped coordinates (displacements
 accumulate; fields are evaluated at the periodic image), so trajectory
@@ -37,6 +39,10 @@ from .grid import SpatialGrid
 from .operators import phase_gradient, phase_winding, spectral_gradient
 
 _TWO_PI = 2.0 * np.pi
+# relative margin by which every corner of a cell must clear the node gate
+# for the cell to be certified; far above the few-ulp roundoff of the
+# positive convex sums that linear interpolation and the time blend make
+_CERT_MARGIN = 1e-12
 
 
 def wave_velocity_grids(psi: WaveField, mass: float, hbar: float,
@@ -87,11 +93,19 @@ class GuidingField:
     guiding law is not trustworthy there.
 
     A query at time t blends the prefiltered velocity coefficient grids of
-    snapshots k-1 .. k+2 with cubic Hermite weights, and the |psi|^2 grids
-    of k, k+1 linearly, then interpolates each blended grid once. The blend
-    of the last query time is kept for the next query; the field is not
-    changed after construction, so that one entry never goes stale. A
-    query time outside [times[0], times[-1]] raises ValueError (with one
+    snapshots k-1 .. k+2 with cubic Hermite weights, then interpolates each
+    blended grid once. The node flag interpolates |psi|^2 linearly in space,
+    and blends it and the gate linearly between k and k+1: a convex
+    combination of the corners of the point's cell in both snapshots. So a
+    point whose cell corners all clear their gates in both, by a relative
+    margin of 1e-12, is certified unflagged from a boolean "safe cell" grid
+    per snapshot. Only the other points are interpolated, on a |psi|^2 grid
+    blended at most once per query time; every flag has the value the full
+    interpolation gives.
+
+    The blend of the last query time is kept for the next query; the field
+    is not changed after construction, so that one entry never goes stale.
+    A query time outside [times[0], times[-1]] raises ValueError (with one
     snapshot, any time but its own).
     """
 
@@ -115,6 +129,7 @@ class GuidingField:
         self._v_coef = [np.empty(stack) for _ in range(self.grid.dim)]
         self._rho = np.empty(stack)
         self._gate = np.empty(len(snapshots))
+        self._safe = np.empty(stack, dtype=bool)
         for i, snap in enumerate(snapshots):
             if isinstance(snap, WaveField):
                 amax = float(np.max(np.abs(snap.values)))
@@ -133,7 +148,9 @@ class GuidingField:
                 coef[i] = ndimage.spline_filter(va, order=3, mode="grid-wrap")
             self._rho[i] = rho
             self._gate[i] = gate
-        self._last_blend = (None, None)    # (query time, _blend result)
+            self._safe[i] = _cell_min(rho) > gate * (1.0 + _CERT_MARGIN)
+        self._cell_max = np.array(self.grid.shape, dtype=float)[:, None] - 1.0
+        self._last_blend = None
 
     def _coords(self, x: np.ndarray) -> np.ndarray:
         return self.grid.to_fractional_index(x).T
@@ -146,29 +163,46 @@ class GuidingField:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         coords = self._coords(x)
         t = float(t)
-        last = self._last_blend
-        if last[0] != t:
-            last = self._last_blend = (t, self._blend(t))
-        v_coef, rho, gate = last[1]
+        blend = self._last_blend
+        if blend is None or blend.t != t:
+            blend = self._last_blend = self._blend(t)
         v = np.empty(coords.T.shape)
-        for a, c in enumerate(v_coef):
+        for a, c in enumerate(blend.v_coef):
             ndimage.map_coordinates(c, coords, output=v[:, a], order=3,
                                     mode="grid-wrap", prefilter=False)
-        flags = ndimage.map_coordinates(rho, coords, order=1,
-                                        mode="grid-wrap") < gate
-        return v, flags
+        return v, self._node_flags(coords, blend)
 
-    def _blend(self, t: float):
-        """Coefficient grids per axis, rho grid and node gate at time t:
-        cubic Hermite in time for the velocity (slopes from neighboring
-        snapshots, one-sided at the ends), linear for rho and the gate."""
+    def _node_flags(self, coords: np.ndarray, blend: "_Blend") -> np.ndarray:
+        """Node flags at fractional indices coords (dim, N). An index can
+        round to exactly n, a corner of cell n - 1 too; fmin also sends NaN
+        to a valid cell, so NaN points are left to the interpolation."""
+        cell = tuple(np.fmin(coords, self._cell_max).astype(np.intp))
+        sure = self._safe[blend.k][cell] & self._safe[blend.k1][cell]
+        sure &= ~np.isnan(coords).any(axis=0)
+        flags = np.zeros(sure.shape, dtype=bool)
+        todo = np.flatnonzero(~sure)
+        if todo.size:
+            if blend.rho is None:
+                k, k1, s = blend.k, blend.k1, blend.s
+                blend.rho = (1 - s) * self._rho[k] + s * self._rho[k1]
+            flags[todo] = ndimage.map_coordinates(
+                blend.rho, coords[:, todo], order=1,
+                mode="grid-wrap") < blend.gate
+        return flags
+
+    def _blend(self, t: float) -> "_Blend":
+        """The field at time t: coefficient grids per axis, cubic Hermite in
+        time (slopes from neighboring snapshots, one-sided at the ends), and
+        the linear weights of snapshots k, k + 1 for rho and the gate. The
+        rho grid is blended only when a node flag needs it."""
         times = self.times
         if not times[0] <= t <= times[-1]:
             raise ValueError(f"query time {t!r} outside the snapshot window "
                              f"[{times[0]!r}, {times[-1]!r}]")
         m = len(times)
         if m == 1:
-            return [c[0] for c in self._v_coef], self._rho[0], self._gate[0]
+            return _Blend(t, [c[0] for c in self._v_coef], 0, 0, 0.0,
+                          self._gate[0], self._rho[0])
         k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), m - 2)
         h = times[k + 1] - times[k]
         s = (t - times[k]) / h
@@ -187,9 +221,34 @@ class GuidingField:
         near, flat = slice(a, b + 1), (b + 1 - a, -1)
         v_coef = [(w[near] @ c[near].reshape(flat)).reshape(self.grid.shape)
                   for c in self._v_coef]
-        rho = (1 - s) * self._rho[k] + s * self._rho[k + 1]
         gate = (1 - s) * self._gate[k] + s * self._gate[k + 1]
-        return v_coef, rho, gate
+        return _Blend(t, v_coef, k, k + 1, s, gate)
+
+
+@dataclass(slots=True)
+class _Blend:
+    """A GuidingField at one query time; ``rho`` is filled on first need."""
+
+    t: float
+    v_coef: list
+    k: int
+    k1: int
+    s: float
+    gate: float
+    rho: np.ndarray | None = None
+
+
+def _cell_min(rho: np.ndarray) -> np.ndarray:
+    """Minimum of rho over the 2**dim corners of each periodic cell, where
+    cell i spans grid indices i and i + 1 (wrapped) on every axis: one axis
+    at a time, as slice minima plus the wrapped edge."""
+    out = rho.copy()
+    for a in range(out.ndim):
+        m = out.swapaxes(0, a)    # a view, without np.moveaxis's overhead
+        edge = np.minimum(m[-1], m[0])
+        np.minimum(m[:-1], m[1:], out=m[:-1])
+        m[-1] = edge
+    return out
 
 
 def velocity_at(state, x, mass: float = 1.0, hbar: float = 1.0,

@@ -6,12 +6,15 @@ cross-check rather than a tautology. The exceptions are reference
 algorithms kept beside the faster package code they check:
 ``per_snapshot_hermite_velocity``, an evaluation order for
 ``GuidingField.velocity`` that reads the field's own grids,
+``full_node_flags`` and ``certified_points``, the node gate without the
+safe-cell certificate and the certificate corner by corner,
 ``heap_unwrap_2d``, the cell-by-cell walk that the spanning-tree unwrap of
 ``to_polar`` replaced, and ``numpy_split_step``, the ``numpy.fft`` loop
 that the in-place ``scipy.fft`` loop of ``propagate`` replaced.
 """
 
 import heapq
+import itertools
 
 import numpy as np
 from scipy import ndimage
@@ -81,6 +84,53 @@ def brute_force_zeros(f, a, b, n=200001):
     s = np.sign(y)
     idx = np.where(s[:-1] * s[1:] < 0)[0]
     return 0.5 * (x[idx] + x[idx + 1])
+
+
+def _bracket(gf, t):
+    """Snapshots k, k1 around t and the linear weight s of k1, as the
+    field's own blend picks them."""
+    times = gf.times
+    m = len(times)
+    if m == 1:
+        return 0, 0, 0.0
+    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, m - 2))
+    return k, k + 1, (t - times[k]) / (times[k + 1] - times[k])
+
+
+def full_node_flags(gf, x, t):
+    """Reference for the node flags of ``GuidingField.velocity``: the rho
+    grid blended linearly in time, interpolated linearly at every point
+    and compared with the blended gate, with no certificate."""
+    coords = gf.grid.to_fractional_index(np.atleast_2d(x)).T
+    k, k1, s = _bracket(gf, t)
+    if k == k1:
+        rho, gate = gf._rho[k], gf._gate[k]
+    else:
+        rho = (1 - s) * gf._rho[k] + s * gf._rho[k1]
+        gate = (1 - s) * gf._gate[k] + s * gf._gate[k1]
+    return ndimage.map_coordinates(rho, coords, order=1,
+                                   mode="grid-wrap") < gate
+
+
+def certified_points(gf, x, t, margin=1e-12):
+    """Reference for the safe-cell certificate of ``GuidingField``'s node
+    gate: a point is certified when every corner of its cell clears the
+    gate of both snapshots around t by the relative margin. Corners are
+    listed one by one and wrapped with a modulo; a fractional index of
+    exactly n lies in cell n - 1, and NaN points are never certified."""
+    coords = gf.grid.to_fractional_index(np.atleast_2d(x)).T
+    shape = np.array(gf.grid.shape)
+    nan = np.isnan(coords)
+    top = (shape - 1)[:, None]
+    base = np.floor(np.where(nan | (coords > top), top, coords)).astype(int)
+    k, k1, _ = _bracket(gf, t)
+    ok = ~nan.any(axis=0)
+    for offset in itertools.product((0, 1), repeat=gf.grid.dim):
+        corner = tuple((base[a] + offset[a]) % shape[a]
+                       for a in range(gf.grid.dim))
+        for j in (k, k1):
+            ok &= gf._rho[j][corner] > gf._gate[j] * (1.0 + margin)
+    return ok
 
 
 def per_snapshot_hermite_velocity(gf, x, t):

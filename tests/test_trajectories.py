@@ -9,9 +9,11 @@ from pilotwave.trajectories import (
     polar_velocity_grids,
 )
 from oracles import (
+    certified_points,
     free_gaussian_psi,
     free_gaussian_trajectory,
     free_gaussian_velocity,
+    full_node_flags,
     per_snapshot_hermite_velocity,
 )
 
@@ -312,24 +314,121 @@ def test_velocity_matches_per_snapshot_interpolation(dim, n_snaps):
     assert 0 < flagged
 
 
+def _node_dense_snapshots(dim, n_snaps=4):
+    """Standing waves, sin(k (x - c)) per axis times a plane wave, with a
+    nodal point (1D) or line (2D) every 4 cells. Snapshot 0 has its nodes on
+    grid nodes; the nodes of axis 0 then drift by 0.3 cells per snapshot,
+    so cells pass in and out of the gate. The box lengths give a dx that is
+    not a power of two. With node_eps = 0.3 a quarter (2D) or a half (1D)
+    of the cells are certified in most snapshots, the last cell in all."""
+    extents = ((-2.9, 4.4), (1.3, 3.8))[:dim]
+    shape = (64, 16)[:dim]
+    g = pw.SpatialGrid(shape, extents)
+    snaps = []
+    for j in range(n_snaps):
+        values = np.exp(2j * np.pi * (g.coordinates()[0] - g.qmin[0])
+                        / g.lengths[0])
+        for a, x in enumerate(g.coordinates()):
+            shift = 0.3 * j * g.dx[a] if a == 0 else 0.0
+            k = 2.0 * np.pi * g.shape[a] / (8.0 * g.lengths[a])
+            values *= np.sin(k * (x - g.qmin[a] - g.dx[a] - shift))
+        snaps.append(pw.WaveField(g, values, time=0.1 * j))
+    return snaps
+
+
+def _gate_queries(gf, rng, n=400):
+    """Uniform points, points on grid nodes and on cell edges, points one
+    ulp below qmax and below qmin (whose wrapped fractional index rounds
+    to n), and points many periods outside the box."""
+    grid = gf.grid
+    lo, hi = np.array(grid.qmin), np.array(grid.qmax)
+    uniform = lo + (hi - lo) * rng.random((n, grid.dim))
+    nodes = lo + grid.dx * rng.integers(0, grid.shape[0], (n, grid.dim))
+    edges = uniform.copy()
+    edges[:, 0] = nodes[:, 0]
+    ulp = np.array([np.nextafter(hi, -np.inf), np.nextafter(lo, -np.inf)])
+    one_axis = np.repeat(ulp, 2, axis=0)
+    one_axis[[0, 2], 0] = uniform[:2, 0]
+    one_axis[[1, 3], -1] = uniform[:2, -1]
+    far = uniform[:n // 4] + grid.lengths * rng.integers(-1000, 1000, (n // 4, 1))
+    return np.concatenate([uniform, nodes, edges, ulp, one_axis, far])
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_velocity_makes_one_interpolation_per_axis_and_one_for_rho(
         dim, monkeypatch):
-    gf = GuidingField(_interfering_snapshots(dim))
+    """One cubic call per axis per query. The linear rho call is made only
+    for the points the safe-cell certificate leaves open, in one call: none
+    on a node-free window. rho is blended at most once per query time."""
+    g = pw.SpatialGrid((64, 32)[:dim], ((-4.0, 4.0),) * dim)
+    node_free = [pw.WaveField(g, (2.0 + np.cos(g.coordinates()[-1]) * t)
+                              * np.exp(1j * g.coordinates()[0]), time=t)
+                 for t in (0.0, 0.5, 1.0, 1.5)]
+    fields = {False: GuidingField(node_free),
+              True: GuidingField(_node_dense_snapshots(dim), node_eps=0.3)}
     calls = []
     real = ndimage.map_coordinates
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("order"))
+        calls.append((kwargs.get("order"), args[1]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ndimage, "map_coordinates", counting)
-    x = np.zeros((10, dim))
-    times = _query_times(gf.times)
-    for t in times + times[-1:]:    # the repeat reuses the last blend
-        calls.clear()
-        gf.velocity(x, t)
-        assert sorted(calls) == [1] + [3] * dim
+    rng = np.random.default_rng(3)
+    for nodes, gf in fields.items():
+        x = _gate_queries(gf, rng)
+        coords = gf.grid.to_fractional_index(x).T
+        times = _query_times(gf.times)
+        for t in times + times[-1:]:    # the repeat reuses the last blend
+            calls.clear()
+            gf.velocity(x, t)
+            rho = gf._last_blend.rho
+            assert sorted(o for o, _ in calls) == [1] * nodes + [3] * dim
+            if not nodes:
+                assert rho is None
+                continue
+            open_ = ~certified_points(gf, x, t)
+            assert 0 < np.count_nonzero(open_) < len(x)
+            linear = [c for o, c in calls if o == 1][0]
+            assert np.array_equal(linear, coords[:, open_])
+            gf.velocity(x[::-1], t)
+            assert gf._last_blend.rho is rho
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_snaps", [1, 4])
+def test_certified_node_flags_equal_the_full_linear_gate(dim, n_snaps):
+    gf = GuidingField(_node_dense_snapshots(dim, n_snaps), node_eps=0.3)
+    rng = np.random.default_rng(11)
+    x = _gate_queries(gf, rng)
+    # a point one ulp below qmin wraps to the fractional index n
+    assert np.any(gf.grid.to_fractional_index(x) == gf.grid.shape)
+    flagged = certified = 0
+    for t in _query_times(gf.times):
+        _, flags = gf.velocity(x, t)
+        assert np.array_equal(flags, full_node_flags(gf, x, t))
+        flagged += np.count_nonzero(flags)
+        certified += np.count_nonzero(certified_points(gf, x, t))
+    assert 0 < flagged and 0 < certified
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nan_and_inf_queries_stay_flagged_at_zero_velocity(dim):
+    """A NaN or infinite coordinate maps to a NaN fractional index, which
+    the certificate must not clear: map_coordinates reads it as outside the
+    grid, so its velocity is 0 and its flag is set, as without it."""
+    gf = GuidingField(_node_dense_snapshots(dim), node_eps=0.3)
+    x = np.zeros((6, dim))
+    x[:, 0] = [np.nan, np.inf, -np.inf, 0.3, 0.4, 1.0]
+    x[4, -1] = np.nan    # in 2D, a NaN on the second axis alone
+    bad = ~np.isfinite(x).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        for t in _query_times(gf.times):
+            v, flags = gf.velocity(x, t)
+            assert np.array_equal(flags, full_node_flags(gf, x, t))
+            v_ref, _ = per_snapshot_hermite_velocity(gf, x, t)
+            assert np.array_equal(v[bad], v_ref[bad])
+            assert flags[bad].all() and not v[bad].any()
 
 
 def test_velocity_reuses_the_blend_of_the_shared_midpoint(monkeypatch):
