@@ -54,7 +54,7 @@ from .reconstruction import (
     classical_reconstruct,
     reconstruct_along_center,
 )
-from .sampling import born_sample, uniform_sample
+from .sampling import born_sample
 from .schrodinger import (
     FreePotential,
     HarmonicPotential,

@@ -15,10 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CausticDetectedError, UndefinedGradientError
+from .errors import (
+    CausticDetectedError,
+    PreparationMismatchError,
+    UndefinedGradientError,
+)
 from .grid import SpatialGrid
-from .schrodinger import FreePotential, Potential
-from .trajectories import Trajectory, _integrate, _rk4_step
+from .schrodinger import FreePotential, Potential, PropagatorConfig, propagate
+from .trajectories import (
+    Trajectory,
+    _integrate,
+    _rk4_step,
+    integrate_trajectory,
+    velocity_at,
+)
 
 
 def _as_points(q) -> np.ndarray:
@@ -116,6 +126,9 @@ class TransportedAction(ActionField):
 
     Cubic in space on each record, linear between records. Defined only on
     the convex hull of the characteristic positions within the time window.
+    It gives values only: a difference between records is not the action's
+    time derivative, so ``gradient`` and ``time_derivative`` stay the base
+    class's NotImplementedError.
     """
 
     def __init__(self, times: np.ndarray, positions: list[np.ndarray],
@@ -127,48 +140,27 @@ class TransportedAction(ActionField):
         self._splines = [CubicSpline(x, s) for x, s in zip(positions, values)]
         self._ranges = [(float(x[0]), float(x[-1])) for x in positions]
 
-    def _bracket(self, t):
+    def evaluate(self, q, t):
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
             raise UndefinedGradientError(
                 f"t = {t:g} outside the transported window "
                 f"[{self.times[0]:g}, {self.times[-1]:g}]"
             )
-        if len(self.times) == 1:
-            return 0, 0.0
-        k = int(np.clip(np.searchsorted(self.times, t) - 1, 0, len(self.times) - 2))
-        w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
-        return k, float(np.clip(w, 0.0, 1.0))
-
-    def _eval(self, q, t, derivative):
-        k, w = self._bracket(t)
+        k, w = 0, 0.0
+        if len(self.times) > 1:
+            k = int(np.clip(np.searchsorted(self.times, t) - 1, 0,
+                            len(self.times) - 2))
+            w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
+            w = float(np.clip(w, 0.0, 1.0))
         k1 = min(k + 1, len(self.times) - 1)
-        pts = _as_points(q)
-        x = pts[:, 0]
+        x = _as_points(q)[:, 0]
         for kk in (k, k1):
             lo, hi = self._ranges[kk]
             if np.any(x < lo) or np.any(x > hi):
                 raise UndefinedGradientError(
                     "query outside the transported characteristic hull"
                 )
-        a = self._splines[k](x, derivative)
-        b = self._splines[k1](x, derivative)
-        return (1 - w) * a + w * b
-
-    def evaluate(self, q, t):
-        return self._eval(q, t, 0)
-
-    def gradient(self, q, t):
-        return self._eval(q, t, 1)[:, None]
-
-    def time_derivative(self, q, t):
-        k, _ = self._bracket(t)
-        k1 = min(k + 1, len(self.times) - 1)
-        pts = _as_points(q)
-        x = pts[:, 0]
-        if k1 == k:
-            return np.zeros(len(x))
-        dt = self.times[k1] - self.times[k]
-        return (self._splines[k1](x) - self._splines[k](x)) / dt
+        return (1 - w) * self._splines[k](x) + w * self._splines[k1](x)
 
 
 @dataclass
@@ -399,28 +391,21 @@ def semiclassical_compare(psi_family: dict[float, "WaveField"],
 
     Each family member shares the initial amplitude and action with the
     classical preparation; only the dynamics scale with hbar. Entries run
-    in decreasing-hbar order.
+    in decreasing-hbar order. The classical start momentum is ``p0`` when
+    given (``ClassicalState`` holds it to the action's gradient), else the
+    gradient, which raises where it is undefined.
     """
-    from .errors import PreparationMismatchError
-    from .schrodinger import PropagatorConfig, propagate
-    from .trajectories import integrate_trajectory, velocity_at
-
     hbars = sorted(psi_family, reverse=True)
     c_traj = classical_trajectory(classical_state, t_end, dt_traj)
+    p_cls = classical_state.p0
+    if p_cls is None:
+        p_cls = classical_state.action.gradient(classical_state.q0,
+                                                classical_state.t0)[0]
     errors = []
     for hbar in hbars:
         # the family must share the classical preparation's phase gradient
         p_psi = mass * velocity_at(psi_family[hbar], classical_state.q0,
                                    mass=mass, hbar=hbar)
-        if classical_state.action.gradient_defined(classical_state.q0,
-                                                   classical_state.t0):
-            p_cls = classical_state.action.gradient(classical_state.q0,
-                                                    classical_state.t0)[0]
-        elif classical_state.p0 is not None:
-            p_cls = classical_state.p0
-        else:
-            raise UndefinedGradientError(
-                "classical preparation has no momentum at the start point")
         if np.max(np.abs(p_psi - p_cls)) > 1e-6:
             raise PreparationMismatchError(
                 f"family member hbar={hbar:g} has phase gradient {p_psi} at "

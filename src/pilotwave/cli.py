@@ -51,9 +51,9 @@ def main(argv=None) -> int:
     except ScenarioFailure as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
-        # ValueError here means an operation precondition rejected the
-        # parameters (e.g. bundle spacing below grid resolution)
+    except ValueError as exc:
+        # the config passed validate_config; a library precondition
+        # rejected a value (e.g. bundle spacing below grid resolution)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for check in report["checks"]:

@@ -22,12 +22,6 @@ def born_sample(psi0: WaveField, n: int, seed: int) -> np.ndarray:
     return _rejection_2d(rho, n, rng)
 
 
-def uniform_sample(grid: SpatialGrid, n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, grid.dim))
-    return grid.qmin + u * grid.lengths
-
-
 def _inverse_cdf_1d(rho: RealField, n: int, rng) -> np.ndarray:
     q, F = grid_cdf_1d(rho)
     u = rng.random(n)

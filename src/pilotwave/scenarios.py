@@ -8,6 +8,11 @@ invariant a scenario verifies appears in the report with its measured
 value, pass/fail, and threshold. Physics parameters carry no code-side
 defaults; the committed example configs under ``configs/`` are the
 canonical parameter sets.
+
+``validate_config`` is the one place a config is refused: a schema holds
+only keys its runner reads, and the cross-key rules live on the sections
+they constrain, so scenarios sharing a section share its rules. Runners
+build from validated values and refuse nothing.
 """
 
 import json
@@ -36,7 +41,7 @@ from .reconstruction import (
     classical_reconstruct,
     reconstruct_along_center,
 )
-from .sampling import born_sample, uniform_sample
+from .sampling import born_sample
 from .schrodinger import (
     FreePotential,
     HarmonicPotential,
@@ -95,6 +100,15 @@ def _type_ok(value, type_):
     raise TypeError(f"unsupported schema type {type_!r}")
 
 
+class Section(dict):
+    """A schema section plus its cross-key rules, each called as
+    ``rule(section, path)`` once the section's keys are valid."""
+
+    def __init__(self, keys, *rules):
+        super().__init__(keys)
+        self.rules = rules
+
+
 def validate_section(cfg, schema, path=""):
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path or 'config'} must be a mapping", path=path)
@@ -122,40 +136,69 @@ def validate_section(cfg, schema, path=""):
                 f"`{full}` must be one of {spec.choices}", path=full)
         if spec.check is not None and not spec.check(value):
             raise ConfigError(f"`{full}` out of range: {value!r}", path=full)
+    for rule in getattr(schema, "rules", ()):
+        rule(cfg, path)
 
 
 _positive = lambda v: v > 0
 _non_negative = lambda v: v >= 0
 
-_GRID = {
-    "n": Key(int, check=lambda v: v >= 16),
-    "qmin": Key(float),
-    "qmax": Key(float),
-    "dim": Key(int, choices=(1,)),
-}
+
+def _steps(run):
+    return int(round(run["T"] / run["dt"]))
+
+
+def _whole_steps(run, path):
+    """T is a whole number of dt steps, and the snapshot stride (where the
+    section has one) divides that number."""
+    steps = _steps(run)
+    if abs(steps * run["dt"] - run["T"]) > 1e-9 * run["T"]:
+        raise ConfigError(f"{path}.T must be an integer multiple of {path}.dt",
+                          path=f"{path}.T")
+    if "snapshot_stride" in run and steps % run["snapshot_stride"]:
+        raise ConfigError(f"{path}.snapshot_stride must divide the step count",
+                          path=f"{path}.snapshot_stride")
+
+
+def _aligned_records(run, path):
+    """dt_traj divides the snapshot spacing, so ensemble records fall on
+    the dump times."""
+    ratio = run["snapshot_stride"] * run["dt"] / run["dt_traj"]
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise ConfigError(
+            f"{path}.dt_traj must divide the snapshot spacing so ensemble "
+            "records align with dump times", path=f"{path}.dt_traj")
+
+
+def _omega_iff_harmonic(pot, path):
+    if (pot["kind"] == "harmonic") != ("omega" in pot):
+        raise ConfigError(f"`{path}.omega` must be given exactly when "
+                          "kind is harmonic", path=f"{path}.omega")
+
+
+_GRID = {"n": Key(int, check=lambda v: v >= 16),
+         "qmin": Key(float), "qmax": Key(float)}
+_POTENTIAL = Section({
+    "kind": Key(str, choices=("free", "harmonic")),
+    "omega": Key(float, required=False, check=_positive),
+}, _omega_iff_harmonic)
 _PHYSICS = {
     "hbar": Key(float, check=_positive),
     "mass": Key(float, check=_positive),
-    "potential": {
-        "kind": Key(str, choices=("free", "harmonic")),
-        "omega": Key(float, required=False, check=_positive),
-    },
+    "potential": _POTENTIAL,
 }
-_RUN_FULL = {
-    "dt": Key(float, check=_positive),
-    "T": Key(float, check=_positive),
-    "snapshot_stride": Key(int, check=_positive),
-    "dt_traj": Key(float, check=_positive),
-    "monitor_edges": Key(bool, required=False),
-}
-_ENSEMBLE = {
-    "N": Key(int, check=_positive),
-    "sampler": Key(str, choices=("born", "uniform")),
-    "seed": Key(int, check=_non_negative),
-}
-_OUTPUT = {
-    "directory": Key(str),
-}
+_STEPS = {"dt": Key(float, check=_positive), "T": Key(float, check=_positive)}
+_SNAPSHOTS = {**_STEPS, "snapshot_stride": Key(int, check=_positive),
+              "dt_traj": Key(float, check=_positive)}
+# run sections of grid scenarios; each propagates T / dt whole steps
+_RUN_STEPS = Section(_STEPS, _whole_steps)
+_RUN_SWEEP = Section(_SNAPSHOTS, _whole_steps)
+_RUN_FULL = Section({**_SNAPSHOTS, "monitor_edges": Key(bool, required=False)},
+                    _whole_steps)
+_RUN_ENSEMBLE = Section(_RUN_FULL, _whole_steps, _aligned_records)
+_ENSEMBLE = {"N": Key(int, check=_positive),
+             "seed": Key(int, check=_non_negative)}
+_OUTPUT = {"directory": Key(str)}
 
 
 def _schema(**sections):
@@ -171,44 +214,37 @@ def _build_potential(cfg):
     pot = cfg["physics"]["potential"]
     if pot["kind"] == "free":
         return FreePotential()
-    if "omega" not in pot:
-        raise ConfigError("harmonic potential needs `physics.potential.omega`",
-                          path="physics.potential.omega")
     return HarmonicPotential(pot["omega"], mass=cfg["physics"]["mass"])
+
+
+def _gaussian(cfg):
+    """The ``state`` Gaussian packet of the ``_STATE_GAUSSIAN`` scenarios."""
+    st = cfg["state"]
+    return gaussian_packet(_build_grid(cfg), st["center"], st["sigma"],
+                           momentum=st.get("momentum"),
+                           hbar=cfg["physics"]["hbar"])
 
 
 def _prop_config(cfg):
     run = cfg["run"]
-    steps = int(round(run["T"] / run["dt"]))
-    if abs(steps * run["dt"] - run["T"]) > 1e-9 * run["T"]:
-        raise ConfigError("run.T must be an integer multiple of run.dt",
-                          path="run.T")
-    if steps % run["snapshot_stride"] != 0:
-        raise ConfigError("run.snapshot_stride must divide the step count",
-                          path="run.snapshot_stride")
     return PropagatorConfig(
-        dt=run["dt"], steps=steps, hbar=cfg["physics"]["hbar"],
+        dt=run["dt"], steps=_steps(run), hbar=cfg["physics"]["hbar"],
         mass=cfg["physics"]["mass"], snapshot_stride=run["snapshot_stride"],
         monitor_edges=run.get("monitor_edges", False),
     )
 
 
-def _sample(psi0, cfg):
-    ens = cfg["ensemble"]
-    if ens["sampler"] == "born":
-        return born_sample(psi0, ens["N"], ens["seed"])
-    return uniform_sample(psi0.grid, ens["N"], ens["seed"])
-
-
-def _record_stride(cfg):
-    run = cfg["run"]
-    snap_dt = run["snapshot_stride"] * run["dt"]
-    ratio = snap_dt / run["dt_traj"]
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ConfigError(
-            "run.dt_traj must divide the snapshot spacing so ensemble "
-            "records align with dump times", path="run.dt_traj")
-    return int(round(ratio))
+def _born_ensemble(snaps, psi0, cfg):
+    """The ``ensemble`` section's Born sample of psi0, guided through snaps
+    with one record per snapshot."""
+    run, ens = cfg["run"], cfg["ensemble"]
+    x0 = born_sample(psi0, ens["N"], ens["seed"])
+    return x0, propagate_ensemble(
+        snaps, x0, run["dt_traj"], mass=cfg["physics"]["mass"],
+        hbar=cfg["physics"]["hbar"],
+        record_stride=int(round(run["snapshot_stride"] * run["dt"]
+                                / run["dt_traj"])),
+        seed=ens["seed"], sampler="born")
 
 
 def _ks_rows(ens, snaps):
@@ -228,21 +264,11 @@ def _ks_rows(ens, snaps):
 # scenario runners (each returns (checks, artifact relative paths))
 
 def _run_equivariance(cfg, out):
-    grid = _build_grid(cfg)
-    st = cfg["state"]
-    psi0 = gaussian_packet(grid, st["center"], st["sigma"],
-                           momentum=st.get("momentum"),
-                           hbar=cfg["physics"]["hbar"])
-    pot = _build_potential(cfg)
-    pcfg = _prop_config(cfg)
-    snaps = propagate(psi0, pot, pcfg)
-    x0 = _sample(psi0, cfg)
+    psi0 = _gaussian(cfg)
+    grid = psi0.grid
+    snaps = propagate(psi0, _build_potential(cfg), _prop_config(cfg))
+    x0, ens = _born_ensemble(snaps, psi0, cfg)
     stat, dof, p_val = chi_square_gof(x0[:, 0], density(psi0))
-    ens = propagate_ensemble(snaps, x0, cfg["run"]["dt_traj"],
-                             mass=pcfg.mass, hbar=pcfg.hbar,
-                             record_stride=_record_stride(cfg),
-                             seed=cfg["ensemble"]["seed"],
-                             sampler=cfg["ensemble"]["sampler"])
     ks_rows = _ks_rows(ens, snaps)
     worst_ks = max(ks for _, ks, _ in ks_rows)
     checks = [
@@ -326,17 +352,12 @@ def _run_p2_divergence(cfg, out):
 def _run_double_slit(cfg, out):
     grid = _build_grid(cfg)
     st = cfg["state"]
-    hbar, mass = cfg["physics"]["hbar"], cfg["physics"]["mass"]
-    psi0 = double_slit_state(grid, st["separation"], st["width"], hbar=hbar)
+    psi0 = double_slit_state(grid, st["separation"], st["width"],
+                             hbar=cfg["physics"]["hbar"])
     rho0 = density(psi0).values
     sym_err = float(np.max(np.abs(rho0 - np.roll(rho0[::-1], 1))))
-    pcfg = _prop_config(cfg)
-    snaps = propagate(psi0, _build_potential(cfg), pcfg)
-    x0 = _sample(psi0, cfg)
-    ens = propagate_ensemble(snaps, x0, cfg["run"]["dt_traj"], mass=mass,
-                             hbar=hbar, record_stride=_record_stride(cfg),
-                             seed=cfg["ensemble"]["seed"],
-                             sampler=cfg["ensemble"]["sampler"])
+    snaps = propagate(psi0, _build_potential(cfg), _prop_config(cfg))
+    _, ens = _born_ensemble(snaps, psi0, cfg)
     mid = float(0.5 * (grid.qmin[0] + grid.qmax[0]))
     crossings = count_axis_crossings(ens, mid)
     rho_t = density(snaps[-1])
@@ -398,10 +419,8 @@ def _run_semiclassical(cfg, out):
 
 
 def _run_reconstruction(cfg, out):
-    grid = _build_grid(cfg)
-    st = cfg["state"]
     hbar, mass = cfg["physics"]["hbar"], cfg["physics"]["mass"]
-    psi0 = gaussian_packet(grid, st["center"], st["sigma"], hbar=hbar)
+    psi0 = _gaussian(cfg)
     pot = _build_potential(cfg)
     gf = GuidingField(propagate(psi0, pot, _prop_config(cfg)), mass=mass,
                       hbar=hbar)
@@ -442,11 +461,7 @@ def _run_reconstruction(cfg, out):
 
 
 def _run_continuity(cfg, out):
-    grid = _build_grid(cfg)
-    st = cfg["state"]
-    psi0 = gaussian_packet(grid, st["center"], st["sigma"],
-                           momentum=st.get("momentum"),
-                           hbar=cfg["physics"]["hbar"])
+    psi0 = _gaussian(cfg)
     pot = _build_potential(cfg)
 
     def max_residual(dt):
@@ -490,8 +505,7 @@ REGISTRY = {
             grid=_GRID,
             physics=_PHYSICS,
             state=_STATE_GAUSSIAN,
-            run={"dt": Key(float, check=_positive),
-                 "T": Key(float, check=_positive)},
+            run=_RUN_STEPS,
         ),
         "runner": _run_continuity,
     },
@@ -502,7 +516,7 @@ REGISTRY = {
             physics=_PHYSICS,
             state={"separation": Key(float, check=_positive),
                    "width": Key(float, check=_positive)},
-            run=_RUN_FULL,
+            run=_RUN_ENSEMBLE,
             ensemble=_ENSEMBLE,
             histogram={"qmin": Key(float), "qmax": Key(float),
                        "bins": Key(int, check=lambda v: v >= 10)},
@@ -515,7 +529,7 @@ REGISTRY = {
             grid=_GRID,
             physics=_PHYSICS,
             state=_STATE_GAUSSIAN,
-            run=_RUN_FULL,
+            run=_RUN_ENSEMBLE,
             ensemble=_ENSEMBLE,
         ),
         "runner": _run_equivariance,
@@ -523,13 +537,11 @@ REGISTRY = {
     "holland-nonuniqueness": {
         "claim": "two distinct free action functions guide one classical path",
         "schema": _schema(
-            physics={"hbar": Key(float, check=_positive),
-                     "mass": Key(float, check=_positive)},
+            physics={"mass": Key(float, check=_positive)},
             classical={"momentum": Key(float), "q0": Key(float),
                        "t_start": Key(float, check=_positive),
                        "seed": Key(int, check=_non_negative)},
-            run={"dt": Key(float, check=_positive),
-                 "T": Key(float, check=_positive)},
+            run=_STEPS,
         ),
         "runner": _run_holland,
     },
@@ -569,11 +581,11 @@ REGISTRY = {
                      "hbars": Key(("list", float),
                                   check=lambda v: len(v) >= 2
                                   and all(x > 0 for x in v)),
-                     "potential": _PHYSICS["potential"]},
+                     "potential": _POTENTIAL},
             state={"sigma": Key(float, check=_positive),
                    "center": Key(float), "momentum": Key(float),
                    "q0": Key(float)},
-            run=_RUN_FULL,
+            run=_RUN_SWEEP,
         ),
         "runner": _run_semiclassical,
     },

@@ -42,7 +42,8 @@ def chi_square_gof(samples: np.ndarray, rho: RealField):
     """Chi-square goodness of fit of samples against a 1D grid density.
 
     Bins are grid-aligned and merged until every expected count reaches 5.
-    Returns (statistic, dof, p_value).
+    Returns (statistic, dof, p_value). Too few samples for two such bins
+    (about 10 or fewer) leave no degrees of freedom: ValueError.
     """
     q, F = grid_cdf_1d(rho)
     n = len(samples)
@@ -58,13 +59,13 @@ def chi_square_gof(samples: np.ndarray, rho: RealField):
             merged_edges.append(edges[i + 1])
             merged_probs.append(acc)
             acc = 0.0
+    if len(merged_probs) < 2:
+        raise ValueError(
+            f"chi-square test of {n} samples: fewer than two bins reach an "
+            "expected count of 5, so it has no degrees of freedom")
     if acc > 0:
-        if merged_probs:
-            merged_probs[-1] += acc
-            merged_edges[-1] = edges[-1]
-        else:
-            merged_edges.append(edges[-1])
-            merged_probs.append(acc)
+        merged_probs[-1] += acc
+        merged_edges[-1] = edges[-1]
     merged_probs = np.asarray(merged_probs)
     observed, _ = np.histogram(samples, bins=np.asarray(merged_edges))
     expected = merged_probs * n

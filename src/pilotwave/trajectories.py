@@ -457,11 +457,14 @@ def integrate_ensemble(gf: GuidingField, x0: np.ndarray, t0: float, t1: float,
     A step whose velocity evaluation lands in a node gate is retried at
     dt/2 and dt/4; if still gated the member halts at the step start and
     its status records it (halts are data, not errors). t1 == t0 returns
-    the initial positions unchanged.
+    the initial positions unchanged. A non-finite starting point is bad
+    input, not a halt: ValueError before any step.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[1] != gf.grid.dim:
         raise ValueError("starting points do not match the grid dimension")
+    if not np.isfinite(x0).all():
+        raise ValueError("starting points must be finite")
 
     def velocity(x, t):
         # the last stage time, t0 + n_steps * (span / n_steps), can round

@@ -7,7 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import pilotwave as pw
-from pilotwave.scenarios import load_config, run_scenario
+from pilotwave.scenarios import REGISTRY, load_config, run_scenario
+from recording import recording
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -31,17 +32,29 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def config_runs(tmp_path_factory):
+def config_reads():
+    """{scenario: dotted config keys its runner read}, filled by
+    ``config_runs``."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def config_runs(tmp_path_factory, config_reads):
     """Every committed config run once: {scenario: (report, output dir)}.
 
     Shared by the golden check-value test and the determinism criterion,
-    which reruns each config and compares against these outputs.
+    which reruns each config and compares against these outputs. Each
+    runner records the config keys it reads into ``config_reads``.
     """
     root = tmp_path_factory.mktemp("config_runs")
     runs = {}
-    for path in sorted(CONFIG_DIR.glob("*.yaml")):
-        cfg = load_config(path)
-        cfg["output"]["directory"] = str(root / path.stem)
-        report = run_scenario(cfg)
-        runs[report["scenario"]] = (report, root / path.stem)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, entry in REGISTRY.items():
+            mp.setitem(entry, "runner", recording(
+                entry["runner"], config_reads.setdefault(name, set())))
+        for path in sorted(CONFIG_DIR.glob("*.yaml")):
+            cfg = load_config(path)
+            cfg["output"]["directory"] = str(root / path.stem)
+            report = run_scenario(cfg)
+            runs[report["scenario"]] = (report, root / path.stem)
     return runs

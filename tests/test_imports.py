@@ -37,7 +37,7 @@ def test_chi2_sf_has_the_bytes_of_scipy_stats():
 
 def test_chi_square_gof_p_value_is_scipy_stats_chi2_sf(grid1d):
     psi = pw.gaussian_packet(grid1d, 0.0, 1.0)
-    for n, seed in [(3, 1), (40, 2), (1000, 3), (10000, 42)]:
+    for n, seed in [(40, 2), (1000, 3), (10000, 42)]:
         samples = pw.born_sample(psi, n, seed=seed)[:, 0]
         stat, dof, p = pw.chi_square_gof(samples, pw.density(psi))
         assert np.float64(p).tobytes() == np.float64(chi2.sf(stat, dof)).tobytes()

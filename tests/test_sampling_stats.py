@@ -31,9 +31,13 @@ def test_born_sampling_2d_marginals():
     assert np.std(samples[:, 1]) == pytest.approx(2.0, rel=0.05)
 
 
-def test_uniform_sampler_range(grid1d):
-    x = pw.uniform_sample(grid1d, 1000, seed=0)
-    assert x.min() >= -20.0 and x.max() < 20.0
+def test_chi_square_gof_refuses_too_few_samples(grid1d):
+    """Three samples cannot fill two bins of expected count 5: no degrees
+    of freedom, so no p-value to gate on."""
+    psi = pw.gaussian_packet(grid1d, 0.0, 1.0)
+    samples = pw.born_sample(psi, 3, seed=1)[:, 0]
+    with pytest.raises(ValueError, match="3 samples"):
+        pw.chi_square_gof(samples, pw.density(psi))
 
 
 def test_ks_statistic_detects_mismatch(grid1d):

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 import yaml
 
 import pilotwave as pw
-from pilotwave import cli, reconstruction
+from pilotwave import classical, cli, reconstruction, scenarios
 from pilotwave.scenarios import (
     REGISTRY,
     list_scenarios,
@@ -13,6 +14,7 @@ from pilotwave.scenarios import (
     run_scenario,
     validate_config,
 )
+from recording import recording, set_keys
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -128,7 +130,7 @@ def test_cli_failing_scenario_exit_one(tmp_path, capsys):
     # equal widths: the preparations coincide, so the separation check fails
     cfg = {
         "scenario": "p2-divergence",
-        "grid": {"n": 256, "qmin": -32.0, "qmax": 32.0, "dim": 1},
+        "grid": {"n": 256, "qmin": -32.0, "qmax": 32.0},
         "physics": {"hbar": 1.0, "mass": 1.0, "potential": {"kind": "free"}},
         "state": {"sigma_a": 1.0, "sigma_b": 1.0, "center": 0.0, "q0": 1.0},
         "run": {"dt": 0.002, "T": 1.0, "snapshot_stride": 20,
@@ -183,3 +185,124 @@ def test_reconstruction_refuses_k0_without_integrating(tmp_path, monkeypatch):
     # one batch for the spacing sweep (center + 2k per spacing); the k = 0
     # refusal reads no trajectory, so it integrates none
     assert calls == [1 + 2 * 4 * 3]
+
+
+# ---------------------------------------------------------------------------
+# the config contract: every key a config may set is read, and every
+# cross-key rule refuses in validate_config, before any output
+
+def test_every_committed_config_key_is_read(config_runs, config_reads):
+    for path in sorted(CONFIG_DIR.glob("*.yaml")):
+        cfg = load_config(path)
+        # run_scenario itself reads these two
+        read = config_reads[cfg["scenario"]] | {"scenario", "output.directory"}
+        unread = sorted(set(set_keys(cfg)) - read)
+        assert not unread, (path.name, unread)
+
+
+def _optional_keys(schema, prefix=""):
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from _optional_keys(spec, f"{prefix}{key}.")
+        elif not spec.required:
+            yield prefix + key
+
+
+class _Stopped(Exception):
+    pass
+
+
+def _stop(*args, **kwargs):
+    raise _Stopped
+
+
+def test_every_optional_key_is_read_or_refused(tmp_path, monkeypatch):
+    """Set each optional schema key on its scenario's committed config: it
+    is refused by validate_config with its path, or the runner reads it
+    before its first propagation. A new optional key needs a valid value
+    in ``value``."""
+    monkeypatch.setattr(scenarios, "propagate", _stop)
+    monkeypatch.setattr(classical, "propagate", _stop)
+    value = {"omega": 1.0, "momentum": 0.0, "monitor_edges": True}
+    checked = 0
+    for name, entry in sorted(REGISTRY.items()):
+        runner = entry["runner"]
+        base = load_config(CONFIG_DIR / f"{name}.yaml")
+        base["output"]["directory"] = str(tmp_path / name)
+        for key in _optional_keys(entry["schema"]):
+            cfg = copy.deepcopy(base)
+            *parents, leaf = key.split(".")
+            section = cfg
+            for part in parents:
+                section = section[part]
+            section[leaf] = value[leaf]
+            checked += 1
+            try:
+                validate_config(cfg)
+            except pw.ConfigError as exc:
+                assert exc.path == key, (name, key, exc.path)
+                continue
+            reads = set()
+            monkeypatch.setitem(entry, "runner", recording(runner, reads))
+            with pytest.raises(_Stopped):
+                run_scenario(cfg)
+            assert key in reads, (name, key)
+    assert checked
+
+
+def _edited(name, edit):
+    cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+    edit(cfg)
+    return cfg
+
+
+REFUSED = {
+    "p2-T-off-dt": ("p2-divergence", "run.T",
+                    lambda c: c["run"].update(T=2.0004)),
+    "harmonic-without-omega": (
+        "continuity-residual", "physics.potential.omega",
+        lambda c: c["physics"]["potential"].update(kind="harmonic")),
+    "free-with-omega": ("continuity-residual", "physics.potential.omega",
+                        lambda c: c["physics"]["potential"].update(omega=1.0)),
+    "continuity-T-off-dt": ("continuity-residual", "run.T",
+                            lambda c: c["run"].update(T=0.2004)),
+    "semiclassical-T-off-dt": ("semiclassical-sweep", "run.T",
+                               lambda c: c["run"].update(T=4.001)),
+    "stride-off-steps": ("equivariance-free-gaussian", "run.snapshot_stride",
+                         lambda c: c["run"].update(snapshot_stride=30)),
+    "dt-traj-off-snapshots": ("double-slit-nocross", "run.dt_traj",
+                              lambda c: c["run"].update(dt_traj=0.025)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_cross_key_rules_refuse_before_any_output(case, tmp_path, capsys):
+    name, field, edit = REFUSED[case]
+    cfg = _edited(name, edit)
+    out = tmp_path / "out"
+    cfg["output"]["directory"] = str(out)
+    with pytest.raises(pw.ConfigError) as exc:
+        validate_config(cfg)
+    assert exc.value.path == field
+    with pytest.raises(pw.ConfigError):
+        run_scenario(cfg)
+    assert not out.exists()
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["check", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_harmonic_continuity_run(tmp_path):
+    """The harmonic branch of the potential builder: a small
+    continuity-residual run of a displaced packet in a trap keeps its
+    second-order self-convergence."""
+    def small_trap(c):
+        c["grid"].update(n=128, qmin=-10.0, qmax=10.0)
+        c["physics"]["potential"] = {"kind": "harmonic", "omega": 1.0}
+        c["state"]["center"] = 1.0
+        c["run"].update(T=0.05, dt=0.001)
+        c["output"]["directory"] = str(tmp_path / "trap")
+
+    report = run_scenario(_edited("continuity-residual", small_trap))
+    assert report["passed"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -7,6 +9,7 @@ from pilotwave.trajectories import (
     GuidingField,
     integrate_ensemble,
     polar_velocity_grids,
+    wave_velocity_grids,
 )
 from oracles import (
     certified_points,
@@ -178,6 +181,20 @@ def test_empty_ensemble(free_gaussian_run):
     assert ens.halted_fraction == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_start_is_refused_not_halted(bad):
+    """A non-finite starting point is bad input: ValueError before any
+    step, with no warning, rather than a node halt at t = 0."""
+    g = pw.SpatialGrid(128, (-10.0, 10.0))
+    cfg = pw.PropagatorConfig(dt=0.01, steps=10, snapshot_stride=5)
+    snaps = pw.propagate(pw.gaussian_packet(g, 0.0, 1.0), pw.FreePotential(),
+                         cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            pw.propagate_ensemble(snaps, [[0.0], [bad]], 0.01)
+
+
 def test_trajectory_halts_at_node(circle):
     psi = pw.superpose(pw.plane_wave(circle, 1.0), pw.plane_wave(circle, -1.0))
     snaps = [pw.WaveField(psi.grid, psi.values, t)
@@ -268,6 +285,24 @@ def test_2d_polar_velocity_of_a_node_free_field_with_winding():
     vq, flags = gf.velocity(np.array([[1.0, -3.0], [-7.5, 8.2]]), 0.0)
     assert not flags.any()
     assert np.max(np.abs(vq - k)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [3, -2])
+def test_1d_polar_velocity_of_a_node_free_field_is_spectral(k):
+    """A node-free 1D polar field with net winding k takes the spectral
+    branch: S minus its winding slope is periodic, so grad(S)/m agrees with
+    Im(grad psi / psi) to roundoff. The 4th-order stencil misses by about
+    1e-6 of max|v| on this field, so the bound tells the two apart."""
+    g = pw.SpatialGrid(128, (-10.0, 10.0))
+    q = g.axes[0]
+    phase = k * 2.0 * np.pi * q / 20.0 + 0.8 * np.sin(4.0 * np.pi * q / 20.0)
+    amp = 2.0 + np.cos(2.0 * np.pi * q / 20.0)
+    psi = pw.WaveField(g, amp * np.exp(1j * phase))
+    polar = pw.to_polar(psi)
+    assert not polar.node_mask.any()
+    (v,) = polar_velocity_grids(polar, 1.0)
+    (want,) = wave_velocity_grids(psi, 1.0, 1.0, floor_rho=0.0)
+    assert np.max(np.abs(v - want)) < 1e-10 * np.max(np.abs(want))
 
 
 def _interfering_snapshots(dim):
