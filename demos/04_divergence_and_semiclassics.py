@@ -51,9 +51,8 @@ def main():
     family = {h: pw.gaussian_packet(gs, 0.0, 8.0, momentum=1.0, hbar=h)
               for h in (1.0, 0.5, 0.25)}
     state = ClassicalState([8.0], PlaneWaveAction([1.0], 1.0), p0=[1.0])
-    sweep = pw.semiclassical_compare(family, state, pw.FreePotential(),
-                                     t_end=4.0, dt=2e-3, dt_traj=0.02,
-                                     snapshot_stride=20)
+    sweep = pw.semiclassical_compare(family, state, t_end=4.0, dt=2e-3,
+                                     dt_traj=0.02, snapshot_stride=20)
     for h, e in zip(sweep.hbars, sweep.errors):
         print(f"   hbar = {h:<5g} max |Q_guided - Q_classical| = {e:.3e}")
     print("   each halving of hbar cuts the gap by ~4: the curvature "

@@ -2,13 +2,13 @@
 guiding law dQ/dt = grad(S)/m, probabilistic transport by characteristics,
 and the semiclassical sweep.
 
-Two closed-form solutions of the free Hamilton-Jacobi equation are
-provided: the plane-wave family S = P.q - P^2 t / 2m + S0 and the circular
-family S = m (q - c)^2 / (2t) that emanates from a point (singular at
-t = 0, where its gradient encodes no momentum at the center). Both satisfy
-the free HJ equation identically; integrated from matched initial data
-they generate the same trajectory, which is the classical nonuniqueness
-demonstration.
+Every action solves the free Hamilton-Jacobi equation (V = 0) with the
+mass it carries. Two closed forms are provided: the plane-wave family
+S = P.q - P^2 t / 2m + S0 and the circular family S = m (q - c)^2 / (2t)
+that emanates from a point (singular at t = 0, where its gradient encodes
+no momentum at the center). Both satisfy it identically; integrated from
+matched initial data they generate the same trajectory, which is the
+classical nonuniqueness demonstration.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from .errors import (
     UndefinedGradientError,
 )
 from .grid import SpatialGrid
-from .schrodinger import FreePotential, Potential, PropagatorConfig, propagate
+from .schrodinger import FreePotential, PropagatorConfig, propagate
 from .trajectories import (
     Trajectory,
     _integrate,
@@ -42,6 +42,8 @@ def _as_points(q) -> np.ndarray:
 
 class ActionField:
     """Scalar action on configuration space with closed-form partials."""
+
+    mass = 1.0
 
     def evaluate(self, q, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -188,18 +190,15 @@ class ClassicalState:
                     )
 
 
-def hj_residual(action: ActionField, q, t, mass: float = 1.0,
-                potential: Potential | None = None) -> np.ndarray:
-    """Residual of dS/dt + |grad S|^2 / 2m + V at points q.
+def hj_residual(action: ActionField, q, t) -> np.ndarray:
+    """Residual of free HJ, dS/dt + |grad S|^2 / 2m (the action's m), at q.
 
     ``t`` is a scalar or, for the closed-form actions, one time per point.
     """
-    if potential is None:
-        potential = FreePotential()
     pts = _as_points(q)
     grad = action.gradient(pts, t)
-    kin = np.sum(grad**2, axis=1) / (2.0 * mass)
-    return action.time_derivative(pts, t) + kin + potential.at(pts)
+    kin = np.sum(grad**2, axis=1) / (2.0 * action.mass)
+    return action.time_derivative(pts, t) + kin
 
 
 def classical_trajectory(state: ClassicalState, t_end: float,
@@ -213,7 +212,7 @@ def classical_trajectory(state: ClassicalState, t_end: float,
     circular family is known for.
     """
     action = state.action
-    mass = getattr(action, "mass", None) or 1.0
+    mass = action.mass
     unflagged = np.zeros(1, dtype=bool)
 
     def flow(q, t):
@@ -290,25 +289,22 @@ class TransportResult:
 
 def transport_classical(density0: ClassicalDensity, action: ActionField,
                         t_end: float, dt: float, n_records: int = 9,
-                        potential: Potential | None = None,
                         t_start: float = 0.0,
                         jacobian_floor: float = 1e-8) -> TransportResult:
     """Carry a 1D density and its action along classical characteristics.
 
     Characteristics start on the grid nodes and obey dQ/dt = grad S / m;
     the density transports as rho(Q(t), t) = rho0 / J with J the stretch of
-    the characteristic map, and S rides along via dS/dt = L. Records are
-    resampled onto the grid with cubic splines (zero outside the
-    characteristic hull, which must stay inside the box for mass to be
+    the characteristic map, and S rides along via dS/dt = m v^2 / 2.
+    Records are resampled onto the grid with cubic splines (zero outside
+    the characteristic hull, which must stay inside the box for mass to be
     conserved). A Jacobian falling below ``jacobian_floor`` means a
     caustic: CausticDetectedError is raised carrying the partial result.
     """
     grid = density0.grid
     if grid.dim != 1:
         raise NotImplementedError("characteristic transport is 1D")
-    if potential is None:
-        potential = FreePotential()
-    mass_p = getattr(action, "mass", None) or 1.0
+    mass = action.mass
     q_nodes = grid.axes[0].copy()
     span = t_end - t_start
     n_steps = max(1, int(round(span / dt))) if span > 0 else 0
@@ -321,9 +317,8 @@ def transport_classical(density0: ClassicalDensity, action: ActionField,
         # y stacks the characteristic positions and the action they carry
         xv = y[0]
         g = action.gradient(xv[:, None], t)[:, 0]
-        v = g / mass_p
-        lagr = 0.5 * mass_p * v**2 - potential.at(xv[:, None])
-        return np.stack([v, lagr]), False
+        v = g / mass
+        return np.stack([v, 0.5 * mass * v**2]), False
 
     rec_times = [t_start]
     rec_x = [x.copy()]
@@ -383,19 +378,19 @@ class SemiclassicalSweep:
 
 
 def semiclassical_compare(psi_family: dict[float, "WaveField"],
-                          classical_state: ClassicalState,
-                          potential: Potential, t_end: float, dt: float,
-                          dt_traj: float, snapshot_stride: int,
-                          mass: float = 1.0) -> SemiclassicalSweep:
+                          classical_state: ClassicalState, t_end: float,
+                          dt: float, dt_traj: float,
+                          snapshot_stride: int) -> SemiclassicalSweep:
     """Max trajectory distance between guided and classical motion per hbar.
 
     Each family member shares the initial amplitude and action with the
-    classical preparation; only the dynamics scale with hbar. Entries run
-    in decreasing-hbar order. The classical start momentum is ``p0`` when
-    given (``ClassicalState`` holds it to the action's gradient), else the
-    gradient, which raises where it is undefined.
+    classical preparation; only the dynamics, free on both sides, scale
+    with hbar. Entries run in decreasing-hbar order. The classical start
+    momentum is ``p0`` when given (``ClassicalState`` holds it to the
+    action's gradient), else the gradient, which raises where undefined.
     """
     hbars = sorted(psi_family, reverse=True)
+    mass = classical_state.action.mass
     c_traj = classical_trajectory(classical_state, t_end, dt_traj)
     p_cls = classical_state.p0
     if p_cls is None:
@@ -413,7 +408,7 @@ def semiclassical_compare(psi_family: dict[float, "WaveField"],
             )
         cfg = PropagatorConfig(dt=dt, steps=int(round(t_end / dt)), hbar=hbar,
                                mass=mass, snapshot_stride=snapshot_stride)
-        snaps = propagate(psi_family[hbar], potential, cfg)
+        snaps = propagate(psi_family[hbar], FreePotential(), cfg)
         traj = integrate_trajectory(snaps, classical_state.q0, dt_traj,
                                     mass=mass, hbar=hbar)
         if traj.halted:

@@ -9,8 +9,8 @@ class AllNodesError(PilotwaveError):
     """Every grid point fell below the node threshold (field is ~0 everywhere)."""
 
 
-class GridTooCoarseError(PilotwaveError):
-    """A requested feature is narrower than the grid can resolve."""
+class GridTooCoarseError(PilotwaveError, ValueError):
+    """A requested feature is narrower than the grid can resolve (a bad value)."""
 
 
 class NodeProximityError(PilotwaveError):

@@ -26,7 +26,7 @@ from scipy import ndimage
 
 from .errors import BundleCrossingError, InsufficientBundleError
 from .fields import to_polar
-from .schrodinger import FreePotential, Potential
+from .schrodinger import Potential
 from .trajectories import Trajectory, _as_guiding_field, integrate_ensemble
 
 _TWO_PI = 2.0 * np.pi
@@ -56,10 +56,9 @@ class Bundle:
 
 
 def build_bundle(snapshots, x0, k: int, delta: float, dt_traj: float,
-                 mass: float = 1.0, hbar: float = 1.0,
-                 node_eps: float = 1e-6) -> Bundle:
+                 mass: float = 1.0, hbar: float = 1.0) -> Bundle:
     """Integrate the center and its 2k-per-axis neighbors under one field."""
-    gf = _as_guiding_field(snapshots, mass, hbar, node_eps)
+    gf = _as_guiding_field(snapshots, mass, hbar)
     return _build_bundles(gf, x0, k, [delta], dt_traj)[0]
 
 
@@ -150,8 +149,6 @@ def reconstruct_along_center(bundle: Bundle, potential: Potential,
             f"bundle half-width k = {bundle.k} cannot form the transverse "
             "second-derivative stencil (need k >= 2)"
         )
-    if potential is None:
-        potential = FreePotential()
     dim = len(bundle.chains)
     times = bundle.times
     n_t = len(times)
@@ -212,21 +209,19 @@ def reconstruct_along_center(bundle: Bundle, potential: Potential,
                                 curvature_potential=u_curv)
 
 
-def classical_reconstruct(traj: Trajectory, potential: Potential | None = None,
-                          mass: float = 1.0, s0: float = 0.0):
-    """Action along a classical path: S(t) = S(0) + integral of the Lagrangian.
+def classical_reconstruct(traj: Trajectory, mass: float = 1.0,
+                          s0: float = 0.0):
+    """Action along a free classical path: S(0) plus the integral of m v^2 / 2.
 
     One trajectory suffices -- no transverse information enters. Velocities
     are taken from the trajectory record (finite differences of positions
     as a fallback).
     """
-    if potential is None:
-        potential = FreePotential()
     if traj.velocities is not None:
         v = traj.velocities
     else:
         v = np.gradient(traj.positions, traj.times, axis=0)
-    lagr = 0.5 * mass * np.sum(v**2, axis=1) - potential.at(traj.positions)
+    lagr = 0.5 * mass * np.sum(v**2, axis=1)
     s = np.empty(len(traj.times))
     s[0] = s0
     dt_seg = np.diff(traj.times)
@@ -234,8 +229,7 @@ def classical_reconstruct(traj: Trajectory, potential: Potential | None = None,
     return traj.times, s
 
 
-def polar_along_trajectory(snapshots, traj: Trajectory, hbar: float = 1.0,
-                           node_eps: float = 1e-6):
+def polar_along_trajectory(snapshots, traj: Trajectory, hbar: float = 1.0):
     """Solver-side oracle: (S, R) of the propagated field sampled on a path.
 
     Each path record reads the snapshot nearest in time. That snapshot is
@@ -250,7 +244,7 @@ def polar_along_trajectory(snapshots, traj: Trajectory, hbar: float = 1.0,
     s_out = np.empty(len(traj.times))
     r_out = np.empty(len(traj.times))
     for k in np.unique(nearest):
-        polar = to_polar(snapshots[k], node_eps=node_eps, hbar=hbar)
+        polar = to_polar(snapshots[k], hbar=hbar)
         at = nearest == k
         s_out[at] = ndimage.map_coordinates(polar.S, coords[:, at], order=3,
                                             mode="nearest")
@@ -280,20 +274,19 @@ class ConvergenceRow:
 
 def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
                        mass: float = 1.0, hbar: float = 1.0,
-                       dt_traj: float = 0.01,
-                       node_eps: float = 1e-6) -> list[ConvergenceRow]:
+                       dt_traj: float = 0.01) -> list[ConvergenceRow]:
     """Reconstruction error against the solver oracle for decreasing delta.
 
     The bundles of all spacings are integrated as one batch around one
     shared center, and the solver's polar field is read along that center
     once; each spacing then only reconstructs (S, R) and is scored. Given a
-    GuidingField, its mass, hbar and node_eps are used and the oracle reads
+    GuidingField, its mass, hbar and node gate are used and the oracle reads
     the snapshots it was built from. All deltas must be grid-resolvable
     (delta >= 2 dx), and dt_traj must put every record time of the center
     path on a snapshot time, because the oracle reads the nearest snapshot.
     """
-    gf = _as_guiding_field(snapshots, mass, hbar, node_eps)
-    mass, hbar, node_eps = gf.mass, gf.hbar, gf.node_eps
+    gf = _as_guiding_field(snapshots, mass, hbar)
+    mass, hbar = gf.mass, gf.hbar
     deltas = list(deltas)
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
@@ -311,15 +304,14 @@ def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
         raise ValueError(f"dt_traj = {dt_traj} puts record times between "
                          "snapshots; the oracle reads the nearest one")
 
-    polar0 = to_polar(gf.snapshots[0], node_eps=node_eps, hbar=hbar)
+    polar0 = to_polar(gf.snapshots[0], hbar=hbar)
 
     def at_start(field, points):
         coords = gf.grid.to_fractional_index(points).T
         return ndimage.map_coordinates(field, coords, order=3, mode="nearest")
 
     s0 = float(at_start(polar0.S, center.positions[:1])[0])
-    s_oracle, r_oracle = polar_along_trajectory(gf.snapshots, center, hbar,
-                                                node_eps)
+    s_oracle, r_oracle = polar_along_trajectory(gf.snapshots, center, hbar)
     rows = []
     prev = None
     for bundle in bundles:

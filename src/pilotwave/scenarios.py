@@ -11,13 +11,15 @@ canonical parameter sets.
 
 ``validate_config`` is the one place a config is refused: a schema holds
 only keys its runner reads, and the cross-key rules live on the sections
-they constrain, so scenarios sharing a section share its rules. Runners
-build from validated values and refuse nothing.
+they constrain, so scenarios sharing a section share its rules. A rule that
+needs a library precondition (the grid, a momentum on its lattice) calls
+the library's own check. Runners build from validated values.
 """
 
 import json
 import os
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -50,7 +52,7 @@ from .schrodinger import (
     edge_band_max,
     propagate,
 )
-from .states import double_slit_state, gaussian_packet
+from .states import double_slit_state, gaussian_packet, representable_momentum
 from .stats import chi_square_gof, ks_statistic
 from .trajectories import (
     GuidingField,
@@ -176,8 +178,33 @@ def _omega_iff_harmonic(pot, path):
                           "kind is harmonic", path=f"{path}.omega")
 
 
-_GRID = {"n": Key(int, check=lambda v: v >= 16),
-         "qmin": Key(float), "qmax": Key(float)}
+def _refuse(path, call, *args):
+    """Call the library's own check; its ValueError refuses ``path``."""
+    try:
+        call(*args)
+    except ValueError as exc:
+        raise ConfigError(f"`{path}` refused: {exc}", path=path) from None
+
+
+def _valid_grid(grid, path):
+    """SpatialGrid takes the points (on a unit box), then the extent."""
+    _refuse(f"{path}.n", SpatialGrid, grid["n"], (0.0, 1.0))
+    _refuse(f"{path}.qmax", SpatialGrid, grid["n"],
+            (grid["qmin"], grid["qmax"]))
+
+
+def _lattice_momentum(cfg, path):
+    """A ``state.momentum`` is on the grid's lattice at every hbar."""
+    if "momentum" not in cfg.get("state", {}):
+        return
+    phys = cfg["physics"]
+    for hbar in phys["hbars"] if "hbars" in phys else [phys["hbar"]]:
+        _refuse("state.momentum", representable_momentum, _build_grid(cfg),
+                cfg["state"]["momentum"], hbar)
+
+
+_GRID = Section({"n": Key(int), "qmin": Key(float), "qmax": Key(float)},
+                _valid_grid)
 _POTENTIAL = Section({
     "kind": Key(str, choices=("free", "harmonic")),
     "omega": Key(float, required=False, check=_positive),
@@ -202,8 +229,10 @@ _OUTPUT = {"directory": Key(str)}
 
 
 def _schema(**sections):
-    """A scenario schema: the shared ``scenario`` key first, ``output`` last."""
-    return {"scenario": Key(str), **sections, "output": _OUTPUT}
+    """A scenario schema: the shared ``scenario`` key first, ``output`` last,
+    and a ``state.momentum`` on the grid's lattice."""
+    return Section({"scenario": Key(str), **sections, "output": _OUTPUT},
+                   _lattice_momentum)
 
 
 def _build_grid(cfg):
@@ -404,10 +433,9 @@ def _run_semiclassical(cfg, out):
               for h in hbars}
     state = ClassicalState([st["q0"]], PlaneWaveAction([st["momentum"]], mass),
                            p0=[st["momentum"]])
-    sweep = semiclassical_compare(family, state, _build_potential(cfg),
-                                  cfg["run"]["T"], cfg["run"]["dt"],
-                                  cfg["run"]["dt_traj"],
-                                  cfg["run"]["snapshot_stride"], mass=mass)
+    sweep = semiclassical_compare(family, state, cfg["run"]["T"],
+                                  cfg["run"]["dt"], cfg["run"]["dt_traj"],
+                                  cfg["run"]["snapshot_stride"])
     gaps = [a - b for a, b in zip(sweep.errors, sweep.errors[1:])]
     checks = [
         Check("error_strictly_decreasing", sweep.monotone_decreasing,
@@ -443,7 +471,7 @@ def _run_reconstruction(cfg, out):
     cstate = ClassicalState([cfg["classical"]["q0"]],
                             PlaneWaveAction([p0], mass), p0=[p0])
     ctraj = classical_trajectory(cstate, cfg["run"]["T"], cfg["run"]["dt_traj"])
-    _, s_line = classical_reconstruct(ctraj, pot, mass, s0=0.0)
+    _, s_line = classical_reconstruct(ctraj, mass, s0=0.0)
     s_along = cstate.action.evaluate(ctraj.positions, ctraj.times)
     s_oracle = s_along - s_along[0]
     classical_err = float(np.max(np.abs(s_line - s_oracle)))
@@ -580,8 +608,7 @@ REGISTRY = {
             physics={"mass": Key(float, check=_positive),
                      "hbars": Key(("list", float),
                                   check=lambda v: len(v) >= 2
-                                  and all(x > 0 for x in v)),
-                     "potential": _POTENTIAL},
+                                  and all(x > 0 for x in v))},
             state={"sigma": Key(float, check=_positive),
                    "center": Key(float), "momentum": Key(float),
                    "q0": Key(float)},
@@ -635,8 +662,6 @@ def list_scenarios() -> str:
 
 
 def resolve_output_dir(cfg: dict):
-    from pathlib import Path
-
     directory = Path(cfg["output"]["directory"])
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not directory.is_absolute():
@@ -652,8 +677,6 @@ def run_scenario(cfg: dict, out_dir=None) -> dict:
     the config is invalid.
     """
     name = validate_config(cfg)
-    from pathlib import Path
-
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     checks, artifacts = REGISTRY[name]["runner"](cfg, out)

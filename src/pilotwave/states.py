@@ -76,16 +76,14 @@ def harmonic_ground_state(grid: SpatialGrid, omega: float = 1.0,
     return gaussian_packet(grid, center, sigma, hbar=hbar)
 
 
-def superpose(*fields: WaveField, coefficients=None) -> WaveField:
-    """Normalized linear combination of WaveFields on a common grid."""
+def superpose(*fields: WaveField) -> WaveField:
+    """Normalized sum of WaveFields on a common grid."""
     if not fields:
         raise ValueError("need at least one field")
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("fields live on different grids")
-    if coefficients is None:
-        coefficients = np.ones(len(fields))
-    values = sum(c * f.values for c, f in zip(coefficients, fields))
+    values = sum(f.values for f in fields)
     return WaveField(grid, values, fields[0].time).normalize()
 
 

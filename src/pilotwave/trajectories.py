@@ -478,17 +478,16 @@ def integrate_ensemble(gf: GuidingField, x0: np.ndarray, t0: float, t1: float,
     return res
 
 
-def _as_guiding_field(snapshots, mass, hbar, node_eps):
+def _as_guiding_field(snapshots, mass, hbar):
     if isinstance(snapshots, GuidingField):
         return snapshots
-    return GuidingField(snapshots, mass=mass, hbar=hbar, node_eps=node_eps)
+    return GuidingField(snapshots, mass=mass, hbar=hbar)
 
 
 def integrate_trajectory(snapshots, x0, dt_traj: float, mass: float = 1.0,
-                         hbar: float = 1.0,
-                         node_eps: float = 1e-6) -> Trajectory:
+                         hbar: float = 1.0) -> Trajectory:
     """Integrate a single guided trajectory through the snapshot window."""
-    gf = _as_guiding_field(snapshots, mass, hbar, node_eps)
+    gf = _as_guiding_field(snapshots, mass, hbar)
     if len(gf.times) > 1:
         max_gap = float(np.max(np.diff(gf.times)))
         if dt_traj > max_gap * (1 + 1e-12):
@@ -501,11 +500,10 @@ def integrate_trajectory(snapshots, x0, dt_traj: float, mass: float = 1.0,
 
 def propagate_ensemble(snapshots, x0s: np.ndarray, dt_traj: float,
                        mass: float = 1.0, hbar: float = 1.0,
-                       node_eps: float = 1e-6, record_stride: int = 1,
-                       seed: int | None = None,
+                       record_stride: int = 1, seed: int | None = None,
                        sampler: str = "explicit") -> EnsembleResult:
     """Integrate all members of an ensemble through the snapshot window."""
-    gf = _as_guiding_field(snapshots, mass, hbar, node_eps)
+    gf = _as_guiding_field(snapshots, mass, hbar)
     return integrate_ensemble(gf, x0s, float(gf.times[0]), float(gf.times[-1]),
                               dt_traj, record_stride=record_stride, seed=seed,
                               sampler=sampler)
@@ -524,8 +522,8 @@ class DivergenceReport:
 
 
 def divergence_experiment(snaps_a, snaps_b, q0, dt_traj: float,
-                          mass: float = 1.0, hbar: float = 1.0,
-                          node_eps: float = 1e-6) -> DivergenceReport:
+                          mass: float = 1.0,
+                          hbar: float = 1.0) -> DivergenceReport:
     """Separation of trajectories from one starting point under two
     preparations that share the initial phase gradient.
 
@@ -533,8 +531,8 @@ def divergence_experiment(snaps_a, snaps_b, q0, dt_traj: float,
     runs whose initial states must satisfy |grad S_a - grad S_b| < 1e-8
     at q0 (checked via m * velocity); PreparationMismatchError otherwise.
     """
-    gf_a = _as_guiding_field(snaps_a, mass, hbar, node_eps)
-    gf_b = _as_guiding_field(snaps_b, mass, hbar, node_eps)
+    gf_a = _as_guiding_field(snaps_a, mass, hbar)
+    gf_b = _as_guiding_field(snaps_b, mass, hbar)
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     va, fa = gf_a.velocity(q0[None], gf_a.times[0])
     vb, fb = gf_b.velocity(q0[None], gf_b.times[0])

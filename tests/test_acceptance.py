@@ -166,9 +166,8 @@ def test_criterion_07_semiclassical_sweep():
     family = {h: pw.gaussian_packet(g, 0.0, 8.0, momentum=1.0, hbar=h)
               for h in (1.0, 0.5, 0.25)}
     state = ClassicalState([8.0], PlaneWaveAction([1.0], 1.0), p0=[1.0])
-    sweep = pw.semiclassical_compare(family, state, pw.FreePotential(),
-                                     t_end=4.0, dt=2e-3, dt_traj=0.02,
-                                     snapshot_stride=20)
+    sweep = pw.semiclassical_compare(family, state, t_end=4.0, dt=2e-3,
+                                     dt_traj=0.02, snapshot_stride=20)
     errs = ", ".join(f"{h:g}: {e:.3e}" for h, e in
                      zip(sweep.hbars, sweep.errors))
     _line(7, sweep.monotone_decreasing,

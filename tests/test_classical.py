@@ -57,13 +57,14 @@ def test_holland_rest_case():
 
 
 def test_hj_residual_both_action_forms(rng):
-    plane = PlaneWaveAction([2.0], 1.0, offset=0.7)
-    circ = CircularAction([0.5], 1.0)
+    # the residual reads the mass each action carries
+    actions = [a for m in (1.0, 2.0) for a in
+               (PlaneWaveAction([2.0], m, offset=0.7), CircularAction([0.5], m))]
     for _ in range(1000):
         q = rng.uniform(-5.0, 5.0)
         t = rng.uniform(0.05, 3.0)
-        assert abs(float(pw.hj_residual(plane, [q], t)[0])) < 1e-10
-        assert abs(float(pw.hj_residual(circ, [q], t)[0])) < 1e-10
+        for action in actions:
+            assert abs(float(pw.hj_residual(action, [q], t)[0])) < 1e-10
 
 
 def test_circular_action_rejects_nonpositive_time():

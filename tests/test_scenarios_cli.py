@@ -272,6 +272,22 @@ REFUSED = {
                          lambda c: c["run"].update(snapshot_stride=30)),
     "dt-traj-off-snapshots": ("double-slit-nocross", "run.dt_traj",
                               lambda c: c["run"].update(dt_traj=0.025)),
+    # the classical reference of the sweep is free: no potential key
+    "sweep-with-potential": (
+        "semiclassical-sweep", "physics.potential",
+        lambda c: c["physics"].update(
+            potential={"kind": "harmonic", "omega": 0.05})),
+    # the grid and momentum rules call SpatialGrid and
+    # representable_momentum themselves
+    "momentum-off-lattice": ("continuity-residual", "state.momentum",
+                             lambda c: c["state"].update(momentum=0.5)),
+    "sweep-momentum-off-lattice": (
+        "semiclassical-sweep", "state.momentum",
+        lambda c: c["state"].update(momentum=1.01)),
+    "grid-n-not-power-of-two": ("continuity-residual", "grid.n",
+                                lambda c: c["grid"].update(n=500)),
+    "grid-extent-reversed": ("p2-divergence", "grid.qmax",
+                             lambda c: c["grid"].update(qmax=-40.0)),
 }
 
 
@@ -306,3 +322,45 @@ def test_harmonic_continuity_run(tmp_path):
 
     report = run_scenario(_edited("continuity-residual", small_trap))
     assert report["passed"]
+
+
+def test_holland_at_mass_two_passes(tmp_path):
+    """The HJ residuals read the mass the two actions carry."""
+    def heavy(c):
+        c["physics"]["mass"] = 2.0
+        c["output"]["directory"] = str(tmp_path / "heavy")
+
+    report = run_scenario(_edited("holland-nonuniqueness", heavy))
+    checks = {c["name"]: c["value"] for c in report["checks"]}
+    assert report["passed"], checks
+    assert checks["hj_residual_plane_wave"] < 1e-12
+    assert checks["hj_residual_circular"] < 1e-12
+
+
+def test_harmonic_reconstruction_bundle_passes(tmp_path):
+    """In a trap the bundle reconstruction honours V, and the classical
+    check integrates a free path against its own free action. dt sits
+    inside the dx^2 m / (pi hbar) step bound that V != 0 brings."""
+    def trap(c):
+        c["physics"]["potential"] = {"kind": "harmonic", "omega": 0.2}
+        c["run"].update(dt=1e-4, snapshot_stride=50)
+        c["output"]["directory"] = str(tmp_path / "trap")
+
+    report = run_scenario(_edited("reconstruction-bundle", trap))
+    checks = {c["name"]: c["value"] for c in report["checks"]}
+    assert report["passed"], checks
+    assert checks["classical_single_trajectory_matches_action"] < 1e-12
+
+
+def test_cli_run_grid_too_coarse_exit_two(tmp_path, capsys):
+    """A slit narrower than 2 dx is a bad value: run exits 2 with a
+    one-line config error, not a traceback."""
+    cfg = _edited("double-slit-nocross",
+                  lambda c: c["state"].update(width=0.05))
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "slit width 0.05" in err

@@ -21,9 +21,8 @@ def _family(grid, sigma, momentum):
 def test_broad_packet_sweep_strictly_decreasing(broad_grid):
     family = _family(broad_grid, 8.0, 1.0)
     state = ClassicalState([8.0], PlaneWaveAction([1.0], 1.0), p0=[1.0])
-    sweep = pw.semiclassical_compare(family, state, pw.FreePotential(),
-                                     t_end=4.0, dt=2e-3, dt_traj=0.02,
-                                     snapshot_stride=20)
+    sweep = pw.semiclassical_compare(family, state, t_end=4.0, dt=2e-3,
+                                     dt_traj=0.02, snapshot_stride=20)
     assert sweep.hbars == [1.0, 0.5, 0.25]
     assert sweep.monotone_decreasing
     # the gap scales like hbar^2: each halving divides the error by ~4
@@ -34,18 +33,16 @@ def test_broad_packet_sweep_strictly_decreasing(broad_grid):
 def test_plane_wave_family_error_at_tolerance(broad_grid):
     family = {h: pw.plane_wave(broad_grid, 1.0, hbar=h) for h in HBARS}
     state = ClassicalState([0.5], PlaneWaveAction([1.0], 1.0), p0=[1.0])
-    sweep = pw.semiclassical_compare(family, state, pw.FreePotential(),
-                                     t_end=4.0, dt=2e-3, dt_traj=0.02,
-                                     snapshot_stride=20)
+    sweep = pw.semiclassical_compare(family, state, t_end=4.0, dt=2e-3,
+                                     dt_traj=0.02, snapshot_stride=20)
     assert max(sweep.errors) < 1e-10
 
 
 def test_narrow_packet_diagnostic_reports_curve(broad_grid):
     family = _family(broad_grid, 0.5, 1.0)
     state = ClassicalState([0.5], PlaneWaveAction([1.0], 1.0), p0=[1.0])
-    sweep = pw.semiclassical_compare(family, state, pw.FreePotential(),
-                                     t_end=4.0, dt=2e-3, dt_traj=0.02,
-                                     snapshot_stride=20)
+    sweep = pw.semiclassical_compare(family, state, t_end=4.0, dt=2e-3,
+                                     dt_traj=0.02, snapshot_stride=20)
     # strong quantum regime: no monotonicity asserted, errors merely reported
     assert len(sweep.errors) == 3
     assert all(np.isfinite(sweep.errors))

@@ -199,7 +199,8 @@ def test_trajectory_halts_at_node(circle):
     psi = pw.superpose(pw.plane_wave(circle, 1.0), pw.plane_wave(circle, -1.0))
     snaps = [pw.WaveField(psi.grid, psi.values, t)
              for t in np.linspace(0.0, 1.0, 11)]
-    traj = pw.integrate_trajectory(snaps, [np.pi / 2], 0.01, node_eps=0.05)
+    traj = pw.integrate_trajectory(GuidingField(snaps, node_eps=0.05),
+                                   [np.pi / 2], 0.01)
     assert traj.status == "halted"
     assert traj.halt_time == 0.0
     assert len(traj.times) == 1
