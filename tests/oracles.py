@@ -9,8 +9,9 @@ algorithms kept beside the faster package code they check:
 ``full_node_flags`` and ``certified_points``, the node gate without the
 safe-cell certificate and the certificate corner by corner,
 ``heap_unwrap_2d``, the cell-by-cell walk that the spanning-tree unwrap of
-``to_polar`` replaced, and ``numpy_split_step``, the ``numpy.fft`` loop
-that the in-place ``scipy.fft`` loop of ``propagate`` replaced.
+``to_polar`` replaced, ``numpy_split_step``, the ``numpy.fft`` loop
+that the in-place ``scipy.fft`` loop of ``propagate`` replaced, and
+``numpy_free_flight``, the one-shot free evolution on ``numpy.fft``.
 """
 
 import heapq
@@ -234,4 +235,19 @@ def numpy_split_step(values, k_squared, v_field, dt, steps, stride,
         values = np.fft.ifftn(spec)
         if step % stride == 0 or step == steps:
             out.append(values.copy())
+    return out
+
+
+def numpy_free_flight(values, k_squared, dt, steps, stride, hbar=1.0,
+                      mass=1.0):
+    """Reference exact free evolution on ``numpy.fft``: the field at step
+    0, every ``stride``-th step and the last step, as ``propagate`` emits
+    them, each in one shot from the initial spectrum with the phase
+    exp(-i hbar k^2 (s dt) / 2m) of its own step s."""
+    values = np.array(values, dtype=complex)
+    spec0 = np.fft.fftn(values)
+    rate = hbar * k_squared / (2.0 * mass)
+    out = [values.copy()]
+    for step in [*range(stride, steps, stride), steps] if steps else []:
+        out.append(np.fft.ifftn(spec0 * np.exp(-1j * (rate * (step * dt)))))
     return out
