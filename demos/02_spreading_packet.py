@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A free Gaussian spreads; its guided trajectories fan out with it.
 
-Propagates the packet with the split-step stepper, checks the width law
+Propagates the packet by exact free flight, checks the width law
 sigma(t) = sigma0 sqrt(1 + (t/2 sigma0^2)^2), integrates a fan of
 trajectories, and verifies that a Born-sampled ensemble still matches
 |psi_T|^2 at the end (equivariance, the statistical backbone of the whole

@@ -4,7 +4,7 @@ Two families are provided:
 
 * spectral (FFT) operators — exact for band-limited periodic data, i.e.
   the error decays faster than any power of dx for smooth fields; they
-  match the implicit periodicity of the split-step propagator;
+  match the implicit periodicity of the spectral propagator;
 * 4th-order central differences — local stencils with O(dx^4) truncation
   error, preferred for fields with masked node regions where spectral
   differentiation would smear local defects over the whole box.

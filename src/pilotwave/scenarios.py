@@ -674,12 +674,19 @@ def run_scenario(cfg: dict, out_dir=None) -> dict:
 
     Returns the report dict; raises ScenarioFailure after writing the
     report when any check failed, and ConfigError before any output when
-    the config is invalid.
+    the config is invalid. When the runner raises, the output directory
+    is removed again if this call created it and it is still empty.
     """
     name = validate_config(cfg)
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(cfg)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    checks, artifacts = REGISTRY[name]["runner"](cfg, out)
+    try:
+        checks, artifacts = REGISTRY[name]["runner"](cfg, out)
+    except BaseException:
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     passed = all(c.passed for c in checks)
     report = {
         "scenario": name,

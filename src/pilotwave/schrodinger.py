@@ -1,24 +1,33 @@
-"""Split-step spectral propagation of the wave field.
+"""Spectral propagation of the wave field.
 
-The stepper is Strang-split with the kinetic half steps outermost:
+With V == 0 on the whole grid the evolution is exact free flight: one
+forward transform of the initial field, then at each emission step s
+
+    psi(t0 + s dt) = F^-1[ F psi0 * exp(-i hbar k^2 (s dt) / 2m) ],
+
+the phase taken from s * dt, never from a running product: one inverse
+transform per snapshot, and no error that accumulates over steps.
+
+Any other potential takes the Strang split step with the kinetic half
+steps outermost:
 
     exp(-i K dt/2) exp(-i V dt) exp(-i K dt/2)
 
 per step, all factors diagonal (kinetic in k-space, potential in q-space),
-hence exactly norm-preserving; the splitting error is second order in dt
-and vanishes identically for the free particle, so a StepSizeWarning (dt
-above dx^2 m / (pi hbar)) is raised only when the potential is non-zero
-somewhere on the grid. Periodic boundaries are implicit in the FFT:
-scenarios must keep packets away from the seam, and an optional edge
-monitor warns when they do not.
+hence exactly norm-preserving, with a splitting error second order in dt;
+a StepSizeWarning (dt above dx^2 m / (pi hbar)) is raised on this path
+only. Periodic boundaries are implicit in the FFT: scenarios must keep
+packets away from the seam, and an optional edge monitor warns when they
+do not.
 
 The transforms go through the ``operators.fftn`` / ``ifftn`` helpers:
 ``scipy.fft.fft`` / ``ifft`` in 1D, ``scipy.fft.fftn`` / ``ifftn`` with the
-axes last first in 2D, the bytes of ``numpy.fft`` either way. A step runs
-in place on the two buffers the loop owns: the first three transforms
+axes last first in 2D, the bytes of ``numpy.fft`` either way. A split step
+runs in place on the two buffers the loop owns: the first three transforms
 overwrite their input and the kinetic half-phases multiply in place. The
-last inverse transform keeps its spectrum, which the aliasing check reads;
-emitted snapshots copy the values, so none shares a buffer with the loop.
+last inverse transform keeps its spectrum, which the aliasing check reads,
+as free flight hands it the spectrum it inverts; emitted snapshots copy
+the values, so none shares a buffer with the loop.
 """
 
 import warnings
@@ -78,10 +87,11 @@ class HarmonicPotential(Potential):
 class PropagatorConfig:
     """Stepping parameters for one propagation run.
 
-    ``dt`` above dx^2 * m / (pi * hbar) triggers a StepSizeWarning when
-    the potential is non-zero somewhere on the grid (the potential phase
-    then rotates near-Nyquist modes by more than pi per step); with V == 0
-    the splitting is exact and no warning is raised. ``snapshot_stride``
+    With V == 0 each emitted field is exact free flight from the initial
+    one, and ``dt`` only sets the emission times. Otherwise the run takes
+    ``steps`` Strang split steps, and ``dt`` above dx^2 * m / (pi * hbar)
+    triggers a StepSizeWarning (the potential phase then rotates
+    near-Nyquist modes by more than pi per step). ``snapshot_stride``
     controls emission; the final state is always emitted.
     ``monitor_edges`` turns on the leak check for localized packets
     (meaningless for extended states like plane waves, hence opt-in): it
@@ -142,14 +152,15 @@ def edge_band_max(values: np.ndarray, grid: SpatialGrid, fraction: float) -> flo
 def propagate(psi0: WaveField, potential: Potential, cfg: PropagatorConfig) -> list[WaveField]:
     """Evolve psi0 and return snapshots [t0, t0+stride*dt, ..., t_final].
 
-    Zero steps returns [psi0] unchanged. Norm is preserved to roundoff per
-    step by construction; no renormalization is applied, so norm drift is a
-    faithful error indicator.
+    Zero steps returns [psi0] unchanged. Both paths preserve the norm to
+    roundoff by construction; no renormalization is applied, so norm drift
+    is a faithful error indicator.
     """
     grid = psi0.grid
     v_field = potential.as_field(grid)
+    free = not np.any(v_field)
     dt_bound = float(np.min(grid.dx) ** 2) * cfg.mass / (np.pi * cfg.hbar)
-    if cfg.dt > dt_bound and np.any(v_field != 0.0):
+    if cfg.dt > dt_bound and not free:
         warnings.warn(
             f"dt={cfg.dt:g} exceeds the phase-aliasing bound {dt_bound:g}",
             StepSizeWarning,
@@ -158,9 +169,6 @@ def propagate(psi0: WaveField, potential: Potential, cfg: PropagatorConfig) -> l
     if cfg.steps == 0:
         return [psi0]
 
-    half_kinetic = np.exp(-1j * cfg.hbar * grid.k_squared() * cfg.dt
-                          / (4.0 * cfg.mass))
-    v_phase = np.exp(-1j * v_field * cfg.dt / cfg.hbar)
     tail = _tail_mask(grid)
 
     def checks(values, spec, t):
@@ -181,10 +189,25 @@ def propagate(psi0: WaveField, potential: Potential, cfg: PropagatorConfig) -> l
                     stacklevel=3,
                 )
 
-    values = psi0.values.copy()
     t0 = psi0.time
-    checks(values, fftn(values), t0)
+    spec0 = fftn(psi0.values)
+    checks(psi0.values, spec0, t0)
     snapshots = [psi0]
+    if free:
+        rate = cfg.hbar * grid.k_squared() / (2.0 * cfg.mass)
+        stride = cfg.snapshot_stride
+        for step in [*range(stride, cfg.steps, stride), cfg.steps]:
+            spec = spec0 * np.exp(-1j * (rate * (step * cfg.dt)))
+            values = ifftn(spec)
+            t = t0 + step * cfg.dt
+            checks(values, spec, t)
+            snapshots.append(WaveField(grid, values, t))
+        return snapshots
+
+    half_kinetic = np.exp(-1j * cfg.hbar * grid.k_squared() * cfg.dt
+                          / (4.0 * cfg.mass))
+    v_phase = np.exp(-1j * v_field * cfg.dt / cfg.hbar)
+    values = psi0.values.copy()
     for step in range(1, cfg.steps + 1):
         spec = fftn(values, overwrite_x=True)
         spec *= half_kinetic

@@ -67,13 +67,10 @@ def gaussian_packet(grid: SpatialGrid, center, sigma, momentum=None,
     return WaveField(grid, values).normalize()
 
 
-def harmonic_ground_state(grid: SpatialGrid, omega: float = 1.0,
-                          mass: float = 1.0, hbar: float = 1.0,
-                          center=0.0) -> WaveField:
-    """Ground state of the isotropic harmonic well, spread sigma^2 = hbar/(2 m omega)."""
-    sigma = np.sqrt(hbar / (2.0 * mass * omega))
-    center = np.broadcast_to(np.atleast_1d(np.asarray(center, float)), (grid.dim,))
-    return gaussian_packet(grid, center, sigma, hbar=hbar)
+def harmonic_ground_state(grid: SpatialGrid) -> WaveField:
+    """Ground state of the isotropic harmonic well at the origin with
+    omega = m = hbar = 1: a Gaussian of spread sigma^2 = hbar/(2 m omega)."""
+    return gaussian_packet(grid, np.zeros(grid.dim), np.sqrt(0.5))
 
 
 def superpose(*fields: WaveField) -> WaveField:

@@ -16,7 +16,7 @@ import scipy.fft
 import pilotwave as pw
 from pilotwave import schrodinger
 from pilotwave.operators import fftn, ifftn, spectral_gradient
-from oracles import numpy_split_step
+from oracles import numpy_free_flight, numpy_split_step
 
 SRC = Path(__file__).parent.parent / "src" / "pilotwave"
 SHAPES = [(16,), (512,), (2048,), (256, 256), (32, 128)]
@@ -76,8 +76,11 @@ def test_propagate_equals_numpy_split_step_bytes(shape, potential, stride):
     dt = 0.5 * float(np.min(grid.dx)) ** 2 / np.pi
     cfg = pw.PropagatorConfig(dt=dt, steps=15, snapshot_stride=stride)
     snaps = pw.propagate(psi0, pot, cfg)
-    want = numpy_split_step(psi0.values, grid.k_squared(), pot.as_field(grid),
-                            dt, 15, stride)
+    if potential == "free":
+        want = numpy_free_flight(psi0.values, grid.k_squared(), dt, 15, stride)
+    else:
+        want = numpy_split_step(psi0.values, grid.k_squared(),
+                                pot.as_field(grid), dt, 15, stride)
     assert len(snaps) == len(want)
     for snap, ref in zip(snaps, want):
         assert snap.values.tobytes() == ref.tobytes(), snap.time
@@ -85,7 +88,8 @@ def test_propagate_equals_numpy_split_step_bytes(shape, potential, stride):
 
 @pytest.mark.parametrize("shape", [(512,), (32, 128)])
 def test_one_axis_fields_take_the_one_axis_transforms(monkeypatch, shape):
-    """A 1D split step costs four ``scipy.fft.fft`` / ``ifft`` calls, which
+    """A 1D split step costs four ``scipy.fft.fft`` / ``ifft`` calls, and
+    free flight one ``fft`` per run and one ``ifft`` per emission, which
     skip the n-D argument handling of ``fftn``; 2D fields take ``fftn``."""
     counts = Counter()
     for name in ("fft", "ifft", "fftn", "ifftn"):
@@ -96,16 +100,20 @@ def test_one_axis_fields_take_the_one_axis_transforms(monkeypatch, shape):
     dim = len(shape)
     grid = pw.SpatialGrid(shape, [(-12.0, 12.0)] * dim)
     psi0 = pw.gaussian_packet(grid, [0.5] * dim, 2.0)
-    steps = 9
-    cfg = pw.PropagatorConfig(dt=0.01, steps=steps, snapshot_stride=4)
-    pw.propagate(psi0, pw.FreePotential(), cfg)
+    steps = 9  # emissions at steps 4, 8 and 9
+    dt = 0.5 * float(np.min(grid.dx)) ** 2 / np.pi
+    cfg = pw.PropagatorConfig(dt=dt, steps=steps, snapshot_stride=4)
     prefix = "" if dim == 1 else "n"
+    pw.propagate(psi0, pw.HarmonicPotential(0.7), cfg)
     assert counts == {"fft" + prefix: 2 * steps + 1, "ifft" + prefix: 2 * steps}
+    counts.clear()
+    pw.propagate(psi0, pw.FreePotential(), cfg)
+    assert counts == {"fft" + prefix: 1, "ifft" + prefix: 3}
 
 
-def test_aliasing_check_reads_the_spectrum_of_each_emitted_field(monkeypatch):
-    """The in-place loop keeps the last spectrum of a step for the aliasing
-    check: at every emission the check sees the fftn of the emitted field."""
+def _check_reads_emitted_spectra(monkeypatch, potential):
+    """At every emission of a 2D run, the aliasing check sees the fftn of
+    the emitted field, the initial one included."""
     seen = []
     real_fraction = schrodinger._aliasing_fraction
 
@@ -117,11 +125,24 @@ def test_aliasing_check_reads_the_spectrum_of_each_emitted_field(monkeypatch):
     grid = pw.SpatialGrid((32, 128), [(-12.0, 12.0)] * 2)
     psi0 = pw.gaussian_packet(grid, [0.5, 0.5], 2.0, momentum=[np.pi / 2, 0.0])
     cfg = pw.PropagatorConfig(dt=0.01, steps=9, snapshot_stride=4)
-    snaps = pw.propagate(psi0, pw.HarmonicPotential(0.7), cfg)
+    snaps = pw.propagate(psi0, potential, cfg)
     assert len(seen) == len(snaps) == 4
     for spec, snap in zip(seen, snaps):
         want = np.fft.fftn(snap.values)
         assert np.max(np.abs(spec - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_aliasing_check_reads_the_spectrum_of_each_emitted_field(monkeypatch):
+    """The in-place loop keeps the last spectrum of a step for the aliasing
+    check."""
+    _check_reads_emitted_spectra(monkeypatch, pw.HarmonicPotential(0.7))
+
+
+def test_free_flight_hands_the_aliasing_check_the_spectrum_it_inverts(
+        monkeypatch):
+    """Free flight forms each emitted field's spectrum in k-space, inverts
+    it, and hands that same spectrum to the check."""
+    _check_reads_emitted_spectra(monkeypatch, pw.FreePotential())
 
 
 def test_no_numpy_transform_in_the_package():

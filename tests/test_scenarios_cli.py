@@ -364,3 +364,25 @@ def test_cli_run_grid_too_coarse_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "slit width 0.05" in err
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_cli_run_refused_by_the_library_leaves_no_new_directory(
+        tmp_path, capsys, existed):
+    """A library precondition that ``check`` cannot see stops the runner
+    after ``run_scenario`` made the output directory: the directory goes
+    again, unless it was there before the run."""
+    cfg = _edited("double-slit-nocross",
+                  lambda c: c["state"].update(width=0.05))
+    out = tmp_path / "runs" / "slit"
+    cfg["output"]["directory"] = str(out)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    if existed:
+        out.mkdir(parents=True)
+    assert cli.main(["check", str(path)]) == 0
+    assert cli.main(["run", str(path)]) == 2
+    assert "slit width 0.05" in capsys.readouterr().err
+    assert out.exists() == existed
+    if existed:
+        assert list(out.iterdir()) == []

@@ -41,8 +41,17 @@ def test_unitarity_over_run(free_gaussian_run):
     assert max(drifts) < 1e-10
 
 
+def test_split_step_unitarity_in_a_harmonic_well(ho_grid):
+    """The Strang path keeps the norm to roundoff over 1000 steps, as
+    free flight does in criterion 1."""
+    psi0 = pw.gaussian_packet(ho_grid, 2.0, np.sqrt(0.5))
+    cfg = pw.PropagatorConfig(dt=1e-3, steps=1000, snapshot_stride=100)
+    snaps = pw.propagate(psi0, pw.HarmonicPotential(1.0), cfg)
+    assert max(abs(s.norm() - 1.0) for s in snaps) < 1e-10
+
+
 def test_stationary_ground_state_over_one_period(ho_grid):
-    psi0 = pw.harmonic_ground_state(ho_grid, omega=1.0)
+    psi0 = pw.harmonic_ground_state(ho_grid)
     period = 2.0 * np.pi
     steps = 31416  # dt = 2e-4
     cfg = pw.PropagatorConfig(dt=period / steps, steps=steps,
@@ -111,7 +120,7 @@ def test_continuity_residual_second_order(grid1d):
 
 
 def test_continuity_residual_stationary(ho_grid):
-    psi0 = pw.harmonic_ground_state(ho_grid, omega=1.0)
+    psi0 = pw.harmonic_ground_state(ho_grid)
     cfg = pw.PropagatorConfig(dt=1e-4, steps=100, snapshot_stride=1)
     snaps = pw.propagate(psi0, pw.HarmonicPotential(1.0), cfg)
     assert np.max(pw.continuity_residual(snaps)) < 1e-8
@@ -137,7 +146,7 @@ def test_step_size_warning():
     cfg = pw.PropagatorConfig(dt=0.01, steps=1)
     with pytest.warns(pw.StepSizeWarning):
         pw.propagate(psi, pw.HarmonicPotential(1.0), cfg)
-    # Strang splitting is exact for V == 0: the same dt is silent there
+    # V == 0 takes exact free flight: the same dt is silent there
     with warnings.catch_warnings():
         warnings.simplefilter("error", pw.StepSizeWarning)
         pw.propagate(psi, pw.FreePotential(), cfg)

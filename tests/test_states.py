@@ -82,7 +82,7 @@ def test_double_slit_2d_symmetric_two_maxima():
 
 def test_harmonic_ground_state_width():
     g = pw.SpatialGrid(512, (-20.0, 20.0))
-    psi = pw.harmonic_ground_state(g, omega=1.0)
+    psi = pw.harmonic_ground_state(g)
     q = g.axes[0]
     var = g.integrate(q**2 * pw.density(psi).values)
     assert var == pytest.approx(0.5, rel=1e-9)

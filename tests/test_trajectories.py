@@ -75,7 +75,7 @@ def test_plane_wave_trajectory(circle):
 
 def test_stationary_state_static_trajectory():
     g = pw.SpatialGrid(256, (-16.0, 16.0))
-    psi0 = pw.harmonic_ground_state(g, omega=1.0)
+    psi0 = pw.harmonic_ground_state(g)
     cfg = pw.PropagatorConfig(dt=1e-3, steps=500, snapshot_stride=50)
     snaps = pw.propagate(psi0, pw.HarmonicPotential(1.0), cfg)
     traj = pw.integrate_trajectory(snaps, [0.7], 0.005)
