@@ -5,13 +5,10 @@ Two families are provided:
 * spectral (FFT) operators — exact for band-limited periodic data, i.e.
   the error decays faster than any power of dx for smooth fields; they
   match the implicit periodicity of the spectral propagator;
-* 4th-order central differences — local stencils with O(dx^4) truncation
-  error, preferred for fields with masked node regions where spectral
-  differentiation would smear local defects over the whole box.
-
-Phase fields get a third treatment: ``phase_gradient`` differentiates a
-wrapped angle directly through single-cell wrapped differences, so it never
-needs a global unwrap and is immune to 2*pi jumps.
+* ``fd_laplacian``, a 4th-order central difference with O(dx^4)
+  truncation error: a local stencil, preferred for fields with masked node
+  regions where spectral differentiation would smear local defects over
+  the whole box.
 
 Every transform in the package is ``scipy.fft`` on complex input, through
 ``fftn`` / ``ifftn`` here. 1D input goes to ``scipy.fft.fft`` / ``ifft``,
@@ -27,7 +24,6 @@ import scipy.fft
 
 from .grid import SpatialGrid
 
-_FD1_COEFF = (8.0, -1.0)  # f' ~ [8(f+1 - f-1) - (f+2 - f-2)] / 12 dx
 _TWO_PI = 2.0 * np.pi
 
 
@@ -83,16 +79,6 @@ def spectral_laplacian(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return out
 
 
-def fd_gradient(values: np.ndarray, grid: SpatialGrid, axis: int = 0) -> np.ndarray:
-    """4th-order central difference along one axis, periodic wrap."""
-    c1, c2 = _FD1_COEFF
-    f_p1 = np.roll(values, -1, axis=axis)
-    f_m1 = np.roll(values, 1, axis=axis)
-    f_p2 = np.roll(values, -2, axis=axis)
-    f_m2 = np.roll(values, 2, axis=axis)
-    return (c1 * (f_p1 - f_m1) + c2 * (f_p2 - f_m2)) / (12.0 * grid.dx[axis])
-
-
 def fd_laplacian(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """4th-order central second derivative, summed over axes, periodic wrap."""
     out = np.zeros_like(values, dtype=float if not np.iscomplexobj(values) else complex)
@@ -111,31 +97,3 @@ def wrap_angle(x: np.ndarray) -> np.ndarray:
     """Wrap values into (-pi, pi]."""
     return np.pi - np.mod(np.pi - x, _TWO_PI)
 
-
-def phase_gradient(theta: np.ndarray, grid: SpatialGrid, axis: int = 0) -> np.ndarray:
-    """4th-order derivative of a wrapped angle field.
-
-    Built from wrapped single-cell differences, so any number of 2*pi
-    branch jumps in ``theta`` is harmless. Valid wherever the true phase
-    changes by less than pi per cell, i.e. everywhere the field is resolved.
-    """
-    step = wrap_angle(np.roll(theta, -1, axis=axis) - theta)  # step[i] = th[i+1]-th[i]
-    s_m1 = np.roll(step, 1, axis=axis)
-    s_p1 = np.roll(step, -1, axis=axis)
-    s_m2 = np.roll(step, 2, axis=axis)
-    c1, c2 = _FD1_COEFF
-    # f[i+1]-f[i-1] = step[i] + step[i-1];  f[i+2]-f[i-2] = sum of 4 steps
-    d2 = step + s_m1
-    d4 = s_p1 + step + s_m1 + s_m2
-    return (c1 * d2 + c2 * d4) / (12.0 * grid.dx[axis])
-
-
-def phase_winding(theta: np.ndarray, grid: SpatialGrid, axis: int = 0) -> int:
-    """Net number of 2*pi turns of a wrapped angle field around one axis.
-
-    Computed as the rounded mean of the summed wrapped single-cell
-    differences along the axis, which is integral for a consistent field.
-    """
-    step = wrap_angle(np.roll(theta, -1, axis=axis) - theta)
-    total = step.sum(axis=axis) / _TWO_PI
-    return int(np.round(np.mean(total)))

@@ -2,13 +2,15 @@
 integration of single paths and whole ensembles, and the divergence
 experiment for phase-gradient-matched preparations.
 
-The guiding velocity is (hbar/m) Im(grad psi / psi), equivalently
-grad(S)/m in polar variables; both routes are implemented and agree off
-nodes. Interpolation is cubic B-spline in space and cubic Hermite in time
-between snapshots (slopes from neighboring snapshots), which is the
-accuracy bottleneck of the integrator: RK4's O(dt^4) is easily finer than
-the interpolation error, so tightening dt_traj beyond the snapshot spacing
-buys little. Both are linear in the grid values, so a query blends the
+The guiding velocity is (hbar/m) Im(grad psi / psi), read from the wave
+field alone: it is defined wherever psi != 0. Off nodes it equals
+grad(S)/m, but that route needs an unwrapped phase, which has no meaning
+at a node and is multi-valued under winding, so fields are guided from
+WaveField snapshots only. Interpolation is cubic B-spline in space and
+cubic Hermite in time between snapshots (slopes from neighboring
+snapshots), which is the accuracy bottleneck of the integrator: RK4's
+O(dt^4) is easily finer than the interpolation error, so tightening
+dt_traj beyond the snapshot spacing buys little. Both are linear in the grid values, so a query blends the
 prefiltered spline coefficients of the nearby snapshots in time first and
 then interpolates once in space: one cubic interpolation per axis. The
 node gate reads |psi|^2 linearly only at the points whose grid cell it
@@ -34,21 +36,20 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import NodeProximityError, PreparationMismatchError
-from .fields import PolarField, WaveField
+from .fields import WaveField
 from .grid import SpatialGrid
-from .operators import phase_gradient, phase_winding, spectral_gradient
+from .operators import spectral_gradient
 
-_TWO_PI = 2.0 * np.pi
 # relative margin by which every corner of a cell must clear the node gate
 # for the cell to be certified; far above the few-ulp roundoff of the
 # positive convex sums that linear interpolation and the time blend make
 _CERT_MARGIN = 1e-12
 
 
-def wave_velocity_grids(psi: WaveField, mass: float, hbar: float,
-                        floor_rho: float) -> list[np.ndarray]:
-    """Guiding velocity on the grid via Im(grad psi / psi), zeroed below floor_rho."""
-    rho = np.abs(psi.values) ** 2
+def wave_velocity_grids(psi: WaveField, rho: np.ndarray, mass: float,
+                        hbar: float, floor_rho: float) -> list[np.ndarray]:
+    """Guiding velocity on the grid via Im(grad psi / psi), zeroed where
+    rho = |psi|^2 lies below floor_rho."""
     bad = rho < floor_rho
     safe = np.where(bad, 1.0, psi.values)
     out = []
@@ -60,37 +61,15 @@ def wave_velocity_grids(psi: WaveField, mass: float, hbar: float,
     return out
 
 
-def polar_velocity_grids(polar: PolarField, mass: float) -> list[np.ndarray]:
-    """Guiding velocity grad(S)/m from a polar decomposition.
-
-    Node-free 1D fields use the spectral gradient after peeling off the
-    winding slope: the unwrapped S of a state with net momentum is not
-    periodic, but the 1D unwrap puts its one branch cut on the seam, so
-    the residual after subtracting the linear part is. 2D unwraps put their
-    cuts inside the box, and fields with masked nodes have none that can be
-    trusted; both take the wrapped-difference 4th-order stencil, which does
-    not care where the 2*pi jumps sit and keeps the damage from node cells
-    local.
-    """
-    grid = polar.grid
-    theta = polar.S / polar.hbar
-    if polar.node_mask.any() or grid.dim > 1:
-        return [polar.hbar * phase_gradient(theta, grid, axis=a) / mass
-                for a in range(grid.dim)]
-    slope = polar.hbar * _TWO_PI * phase_winding(theta, grid) / grid.lengths[0]
-    s_per = polar.S - slope * (grid.coordinates()[0] - grid.qmin[0])
-    return [(spectral_gradient(s_per, grid) + slope) / mass]
-
-
 class GuidingField:
     """Space-time interpolant of the guiding velocity over field snapshots.
 
-    Accepts WaveField or PolarField snapshots (all on one grid, strictly
-    increasing times) and keeps their list as ``snapshots``, so a solver
-    oracle can read the field that guided a path. Queries return
-    velocities plus node flags; a query is flagged when the locally
-    interpolated |psi|^2 sits below (node_eps * max|psi|)^2, meaning the
-    guiding law is not trustworthy there.
+    Accepts WaveField snapshots (all on one grid, strictly increasing
+    times; any other type raises TypeError) and keeps their list as
+    ``snapshots``, so a solver oracle can read the field that guided a
+    path. Queries return velocities plus node flags; a query is flagged
+    when the locally interpolated |psi|^2 sits below (node_eps *
+    max|psi|)^2, meaning the guiding law is not trustworthy there.
 
     A query at time t blends the prefiltered velocity coefficient grids of
     snapshots k-1 .. k+2 with cubic Hermite weights, then interpolates each
@@ -131,19 +110,14 @@ class GuidingField:
         self._gate = np.empty(len(snapshots))
         self._safe = np.empty(stack, dtype=bool)
         for i, snap in enumerate(snapshots):
-            if isinstance(snap, WaveField):
-                amax = float(np.max(np.abs(snap.values)))
-                gate = (self.node_eps * amax) ** 2
-                v = wave_velocity_grids(snap, self.mass, self.hbar,
-                                        floor_rho=0.01 * gate)
-                rho = np.abs(snap.values) ** 2
-            elif isinstance(snap, PolarField):
-                amax = float(np.max(snap.R))
-                gate = (self.node_eps * amax) ** 2
-                v = polar_velocity_grids(snap, self.mass)
-                rho = snap.R**2
-            else:
-                raise TypeError(f"unsupported snapshot type {type(snap)!r}")
+            if not isinstance(snap, WaveField):
+                raise TypeError("GuidingField takes WaveField snapshots, "
+                                f"not {type(snap).__name__}")
+            amp = np.abs(snap.values)
+            rho = amp**2
+            gate = (self.node_eps * float(np.max(amp))) ** 2
+            v = wave_velocity_grids(snap, rho, self.mass, self.hbar,
+                                    floor_rho=0.01 * gate)
             for coef, va in zip(self._v_coef, v):
                 coef[i] = ndimage.spline_filter(va, order=3, mode="grid-wrap")
             self._rho[i] = rho
@@ -158,9 +132,13 @@ class GuidingField:
     def velocity(self, x: np.ndarray, t: float):
         """Velocities and node flags at positions x (N, dim) and time t.
 
-        Raises ValueError when t lies outside [times[0], times[-1]].
+        Raises ValueError when t lies outside [times[0], times[-1]], or
+        when the points' dimension is not the grid's.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != self.grid.dim:
+            raise ValueError(f"query points of dimension {x.shape[1]} on a "
+                             f"{self.grid.dim}D field")
         coords = self._coords(x)
         t = float(t)
         blend = self._last_blend
@@ -255,9 +233,9 @@ def velocity_at(state, x, mass: float = 1.0, hbar: float = 1.0,
                 node_eps: float = 1e-6) -> np.ndarray:
     """Guiding velocity at configuration x for a single field snapshot.
 
-    ``state`` may be a WaveField (Im(grad psi/psi) route) or a PolarField
-    (grad S / m route). Raises NodeProximityError when x falls inside the
-    node gate.
+    ``state`` is a WaveField, guided by (hbar/m) Im(grad psi / psi).
+    Raises NodeProximityError when x falls inside the node gate, and
+    ValueError when x's dimension is not the grid's.
     """
     gf = GuidingField([state], mass=mass, hbar=hbar, node_eps=node_eps)
     x_arr = np.atleast_2d(np.asarray(x, dtype=float))

@@ -12,6 +12,17 @@ safe-cell certificate and the certificate corner by corner,
 ``to_polar`` replaced, ``numpy_split_step``, the ``numpy.fft`` loop
 that the in-place ``scipy.fft`` loop of ``propagate`` replaced, and
 ``numpy_free_flight``, the one-shot free evolution on ``numpy.fft``.
+
+The guidance law's second form lives here too. ``GuidingField`` reads the
+velocity as (hbar/m) Im(grad psi / psi) from the wave field alone;
+``polar_velocity_grids`` reads it as grad(S)/m from a polar decomposition,
+through ``phase_gradient`` (a 4th-order stencil on wrapped single-cell
+differences) and ``phase_winding`` (the net 2*pi turns). The two agree off
+nodes, and the tests check that identity with this route as the oracle.
+It borrows two operators from the package, ``spectral_gradient`` and
+``wrap_angle``. ``fd_gradient`` is the plain 4th-order first-derivative
+stencil whose coefficients ``phase_gradient`` shares; its convergence test
+is the check of those coefficients.
 """
 
 import heapq
@@ -19,6 +30,11 @@ import itertools
 
 import numpy as np
 from scipy import ndimage
+
+from pilotwave.operators import spectral_gradient, wrap_angle
+
+_TWO_PI = 2.0 * np.pi
+_FD1_COEFF = (8.0, -1.0)  # f' ~ [8(f+1 - f-1) - (f+2 - f-2)] / 12 dx
 
 
 def free_gaussian_sigma(t, sigma0, hbar=1.0, mass=1.0):
@@ -251,3 +267,61 @@ def numpy_free_flight(values, k_squared, dt, steps, stride, hbar=1.0,
     for step in [*range(stride, steps, stride), steps] if steps else []:
         out.append(np.fft.ifftn(spec0 * np.exp(-1j * (rate * (step * dt)))))
     return out
+
+
+def fd_gradient(values, grid, axis=0):
+    """4th-order central difference along one axis, periodic wrap."""
+    c1, c2 = _FD1_COEFF
+    f_p1 = np.roll(values, -1, axis=axis)
+    f_m1 = np.roll(values, 1, axis=axis)
+    f_p2 = np.roll(values, -2, axis=axis)
+    f_m2 = np.roll(values, 2, axis=axis)
+    return (c1 * (f_p1 - f_m1) + c2 * (f_p2 - f_m2)) / (12.0 * grid.dx[axis])
+
+
+def phase_gradient(theta, grid, axis=0):
+    """4th-order derivative of a wrapped angle field.
+
+    Built from wrapped single-cell differences, so any number of 2*pi
+    branch jumps in ``theta`` is harmless. Valid wherever the true phase
+    changes by less than pi per cell, i.e. everywhere the field is resolved.
+    """
+    step = wrap_angle(np.roll(theta, -1, axis=axis) - theta)  # th[i+1]-th[i]
+    s_m1 = np.roll(step, 1, axis=axis)
+    s_p1 = np.roll(step, -1, axis=axis)
+    s_m2 = np.roll(step, 2, axis=axis)
+    c1, c2 = _FD1_COEFF
+    # f[i+1]-f[i-1] = step[i] + step[i-1];  f[i+2]-f[i-2] = sum of 4 steps
+    d2 = step + s_m1
+    d4 = s_p1 + step + s_m1 + s_m2
+    return (c1 * d2 + c2 * d4) / (12.0 * grid.dx[axis])
+
+
+def phase_winding(theta, grid, axis=0):
+    """Net number of 2*pi turns of a wrapped angle field around one axis:
+    the rounded mean of the summed wrapped single-cell differences along
+    the axis, which is integral for a consistent field."""
+    step = wrap_angle(np.roll(theta, -1, axis=axis) - theta)
+    total = step.sum(axis=axis) / _TWO_PI
+    return int(np.round(np.mean(total)))
+
+
+def polar_velocity_grids(polar, mass):
+    """Reference guiding velocity grad(S)/m from a polar decomposition.
+
+    Node-free 1D fields use the spectral gradient after peeling off the
+    winding slope: the unwrapped S of a state with net momentum is not
+    periodic, but the 1D unwrap puts its one branch cut on the seam, so
+    the residual after subtracting the linear part is. 2D unwraps put their
+    cuts inside the box, and fields with masked nodes have none that can be
+    trusted; both take ``phase_gradient``, which does not care where the
+    2*pi jumps sit and keeps the damage from node cells local.
+    """
+    grid = polar.grid
+    theta = polar.S / polar.hbar
+    if polar.node_mask.any() or grid.dim > 1:
+        return [polar.hbar * phase_gradient(theta, grid, axis=a) / mass
+                for a in range(grid.dim)]
+    slope = polar.hbar * _TWO_PI * phase_winding(theta, grid) / grid.lengths[0]
+    s_per = polar.S - slope * (grid.coordinates()[0] - grid.qmin[0])
+    return [(spectral_gradient(s_per, grid) + slope) / mass]

@@ -3,13 +3,11 @@ import pytest
 
 import pilotwave as pw
 from pilotwave.operators import (
-    fd_gradient,
     fd_laplacian,
-    phase_gradient,
-    phase_winding,
     spectral_gradient,
     spectral_laplacian,
 )
+from oracles import fd_gradient, phase_gradient, phase_winding
 
 
 @pytest.fixture(scope="module")

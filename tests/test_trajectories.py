@@ -8,7 +8,6 @@ import pilotwave as pw
 from pilotwave.trajectories import (
     GuidingField,
     integrate_ensemble,
-    polar_velocity_grids,
     wave_velocity_grids,
 )
 from oracles import (
@@ -18,6 +17,7 @@ from oracles import (
     free_gaussian_velocity,
     full_node_flags,
     per_snapshot_hermite_velocity,
+    polar_velocity_grids,
 )
 
 
@@ -50,12 +50,40 @@ def test_spreading_gaussian_velocity_matches_analytic(grid1d):
 
 
 def test_velocity_routes_agree_off_nodes(free_gaussian_run):
+    """hbar Im(grad psi / psi)/m from the field equals grad(S)/m from its
+    polar decomposition, the oracle grid interpolated at the same point."""
     last = free_gaussian_run[-1]
-    polar = pw.to_polar(last)
+    (v_grid,) = polar_velocity_grids(pw.to_polar(last), 1.0)
     for x in np.linspace(-3.5, 3.5, 15):
         v_wave = pw.velocity_at(last, [x])[0]
-        v_phase = pw.velocity_at(polar, [x])[0]
+        idx = last.grid.to_fractional_index(np.array([[x]])).T
+        v_phase = ndimage.map_coordinates(v_grid, idx, order=3,
+                                          mode="grid-wrap")[0]
         assert abs(v_wave - v_phase) < 1e-8
+
+
+def test_snapshots_other_than_wave_fields_are_refused(free_gaussian_run):
+    polar = pw.to_polar(free_gaussian_run[0])
+    with pytest.raises(TypeError, match="PolarField"):
+        GuidingField([polar])
+    with pytest.raises(TypeError, match="PolarField"):
+        pw.velocity_at(polar, [0.5])
+
+
+def test_one_coordinate_query_on_a_2d_field_raises():
+    """Unchecked, the query would broadcast to the point (q, q)."""
+    g2 = pw.SpatialGrid((16, 16), ((0.0, 2 * np.pi), (0.0, 2 * np.pi)))
+    with pytest.raises(ValueError, match="dimension 1 on a 2D field"):
+        pw.velocity_at(pw.plane_wave(g2, (2.0, -1.0)), [0.5])
+
+
+def test_two_coordinate_query_on_a_1d_field_raises():
+    """Unchecked, the query would reach the interpolator with a coordinate
+    array of the wrong shape."""
+    g1 = pw.SpatialGrid(16, (0.0, 2 * np.pi))
+    gf = GuidingField([pw.plane_wave(g1, 2.0)])
+    with pytest.raises(ValueError, match="dimension 2 on a 1D field"):
+        gf.velocity(np.array([[0.5, 1.0], [2.0, 3.0]]), 0.0)
 
 
 def test_node_proximity_raises(circle):
@@ -268,10 +296,10 @@ def test_2d_configuration_space_guidance():
 
 
 def test_2d_polar_velocity_of_a_node_free_field_with_winding():
-    """grad(S)/m of a 2D polar field with net winding on both axes: the
-    unwrap's branch cuts run inside the box, and the velocity must not
-    see them. The amplitude 2 + cos cos keeps the field node-free, so S is
-    exactly k.q and the velocity exactly k."""
+    """A 2D field with net winding on both axes: the unwrap's branch cuts
+    run inside the box, and neither the oracle's grad(S)/m nor the guide's
+    Im(grad psi / psi) may see them. The amplitude 2 + cos cos keeps the
+    field node-free, so S is exactly k.q and the velocity exactly k."""
     g = pw.SpatialGrid((64, 64), ((-10.0, 10.0),) * 2)
     k = np.array([3.0, -2.0]) * 2.0 * np.pi / 20.0
     x, y = g.coordinates()
@@ -282,7 +310,7 @@ def test_2d_polar_velocity_of_a_node_free_field_with_winding():
     v = polar_velocity_grids(polar, 1.0)
     for a in range(2):
         assert np.max(np.abs(v[a] - k[a])) < 1e-10
-    gf = GuidingField([polar], mass=1.0)
+    gf = GuidingField([psi], mass=1.0)
     vq, flags = gf.velocity(np.array([[1.0, -3.0], [-7.5, 8.2]]), 0.0)
     assert not flags.any()
     assert np.max(np.abs(vq - k)) < 1e-10
@@ -302,7 +330,8 @@ def test_1d_polar_velocity_of_a_node_free_field_is_spectral(k):
     polar = pw.to_polar(psi)
     assert not polar.node_mask.any()
     (v,) = polar_velocity_grids(polar, 1.0)
-    (want,) = wave_velocity_grids(psi, 1.0, 1.0, floor_rho=0.0)
+    (want,) = wave_velocity_grids(psi, np.abs(psi.values) ** 2, 1.0, 1.0,
+                                  floor_rho=0.0)
     assert np.max(np.abs(v - want)) < 1e-10 * np.max(np.abs(want))
 
 
