@@ -6,13 +6,14 @@ Runs every committed config once as it stands, then once per seed with
 the input of every ``propagate`` call perturbed by relative Gaussian noise
 of one ulp (2.2e-16) on its real and imaginary parts. For each float check
 the largest relative move |perturbed - unperturbed| / |unperturbed| over
-the seeds goes to ``conditioning.json`` beside this script, and the check's
-``rel_tol`` in ``check_values.json`` becomes the larger of 1e-10 and ten
-times that move. Counts, flags and pass/fail must not move at all; the
-script stops if one does.
+the seeds goes to ``conditioning.json`` beside this script. In
+``check_values.json`` each float check's value becomes the unperturbed
+run's, and its ``rel_tol`` the larger of 1e-10 and ten times that move.
+Counts, flags and pass/fail must not move at all, neither under the noise
+nor from their records; the script stops if one does.
 
-Run it on the code whose golden values are recorded, never on a change the
-tolerances are meant to admit.
+Run it on the code whose golden values are to be recorded, never on a
+change the values and tolerances are meant to admit.
 """
 
 import argparse
@@ -81,6 +82,16 @@ def main(argv=None):
     golden = json.loads(GOLDEN.read_text())
     with tempfile.TemporaryDirectory() as root:
         base = run_all(Path(root) / "base")
+        for scenario, checks in golden.items():
+            for name, want in checks.items():
+                value, ok = base[scenario][name]
+                if ok != want["passed"] or (want["kind"] != "float"
+                                            and value != want["value"]):
+                    sys.exit(f"{scenario} {name}: recorded {want['value']} "
+                             f"({want['passed']}), this code gives {value} "
+                             f"({ok})")
+                if want["kind"] == "float":
+                    want["value"] = value
         moves = {s: {n: 0.0 for n, w in checks.items() if w["kind"] == "float"}
                  for s, checks in golden.items()}
         for seed in range(args.seeds):
