@@ -1,7 +1,49 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 import pilotwave as pw
+
+# Every distribution gate below runs at level 1e-6 per test statistic on a
+# fixed seed: an exact sampler fails one with probability at most 1e-6 per
+# statistic and seed.
+LEVEL = 1e-6
+
+
+def _tent_state():
+    """psi = 1 at node (0, 0) and 0 elsewhere on a 16^2 grid: the bilinear
+    density is a product of two tents of half-width dx that wrap across
+    qmin, and 3 of every 4 cells hold exact zeros."""
+    g = pw.SpatialGrid((16, 16), ((-4.0, 4.0), (-2.0, 6.0)))
+    values = np.zeros(g.shape, dtype=complex)
+    values[0, 0] = 1.0
+    return pw.WaveField(g, values)
+
+
+def _folded_offsets(x, grid, axis):
+    """Offsets of one axis from node 0, folded into [-L/2, L/2)."""
+    d = x[:, axis] - grid.qmin[axis]
+    return np.where(d < grid.lengths[axis] / 2, d, d - grid.lengths[axis])
+
+
+def _tent_cdf(d, h):
+    t = d / h
+    return np.where(t < 0.0, 0.5 * (1.0 + t) ** 2, 1.0 - 0.5 * (1.0 - t) ** 2)
+
+
+def _quarter_masses(rho):
+    """Exact mass of the bilinear interpolant of ``rho`` (periodic) in
+    each quarter of each cell, on the (2 n0, 2 n1) grid of quarters, in
+    units of a cell's area. Over the lower half of a cell the weights
+    (1 - s, s) integrate to (3/8, 1/8), over the upper half to (1/8, 3/8)."""
+    w = np.array([[0.375, 0.125], [0.125, 0.375]])
+    out = np.empty((2 * rho.shape[0], 2 * rho.shape[1]))
+    for a in (0, 1):
+        for b in (0, 1):
+            out[a::2, b::2] = sum(
+                w[a, c0] * w[b, c1] * np.roll(rho, (-c0, -c1), axis=(0, 1))
+                for c0 in (0, 1) for c1 in (0, 1))
+    return out
 
 
 def test_born_sampling_gof(grid1d):
@@ -29,6 +71,58 @@ def test_born_sampling_2d_marginals():
     assert np.mean(samples[:, 1]) == pytest.approx(1.0, abs=0.1)
     assert np.std(samples[:, 0]) == pytest.approx(1.0, rel=0.05)
     assert np.std(samples[:, 1]) == pytest.approx(2.0, rel=0.05)
+
+
+def test_born_sampling_2d_tent_marginals():
+    """Each axis's marginal of the tent state, folded to [-dx, dx], is the
+    triangular law of the bilinear interpolant (KS, two statistics at
+    LEVEL). On the same draws the uniform-in-cell law is refused, so the
+    test can tell the within-cell shape."""
+    psi = _tent_state()
+    g = psi.grid
+    x = pw.born_sample(psi, 20000, seed=0)
+    for axis in (0, 1):
+        d = _folded_offsets(x, g, axis)
+        h = g.dx[axis]
+        assert np.all(np.abs(d) <= h), axis
+        assert stats.kstest(d, lambda y: _tent_cdf(y, h)).pvalue > LEVEL, axis
+        uniform = stats.uniform(-h, 2.0 * h).cdf
+        assert stats.kstest(d, uniform).pvalue < LEVEL, axis
+
+
+def test_born_sampling_2d_block_masses():
+    """On a non-separable density, counts per cell and per cell quarter
+    match the exact bilinear masses (chi-square, two statistics at LEVEL;
+    the smallest expected count is above 5)."""
+    g = pw.SpatialGrid((16, 16), ((-2.0, 2.0), (0.0, 8.0)))
+    rho = np.random.default_rng(7).uniform(0.0, 1.0, g.shape)
+    n = 200000
+    x = pw.born_sample(pw.WaveField(g, np.sqrt(rho)), n, seed=0)
+    quarters = np.array(g.shape) * 2
+    k = np.floor(2.0 * g.to_fractional_index(x)).astype(int) % quarters
+    counts = np.zeros(quarters)
+    np.add.at(counts, (k[:, 0], k[:, 1]), 1)
+    mass = _quarter_masses(rho)
+    for obs, want in [(counts, mass),
+                      (counts.reshape(16, 2, 16, 2).sum(axis=(1, 3)),
+                       mass.reshape(16, 2, 16, 2).sum(axis=(1, 3)))]:
+        expected = n * want.ravel() / want.sum()
+        assert expected.min() > 5
+        assert stats.chisquare(obs.ravel(), expected).pvalue > LEVEL
+
+
+def test_born_sampling_2d_zero_cells_stay_in_box():
+    psi = _tent_state()
+    g = psi.grid
+    x = pw.born_sample(psi, 20000, seed=4)
+    assert np.all(np.isfinite(x))
+    assert np.all((x >= g.qmin) & (x < g.qmax))
+
+
+def test_born_sampling_2d_refuses_zero_density():
+    g = pw.SpatialGrid((16, 16), ((-4.0, 4.0), (-4.0, 4.0)))
+    with pytest.raises(ValueError, match="identically zero"):
+        pw.born_sample(pw.WaveField(g, np.zeros(g.shape)), 10, seed=0)
 
 
 def test_chi_square_gof_refuses_too_few_samples(grid1d):
