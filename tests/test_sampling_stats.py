@@ -142,3 +142,19 @@ def test_ks_statistic_detects_mismatch(grid1d):
     ks_other = pw.ks_statistic(samples, pw.density(psi_wide))
     assert ks_same < 0.02
     assert ks_other > 0.1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_born_sampling_is_prefix_stable(grid1d, dim):
+    """Each member takes a fixed number of uniforms from the seeded stream,
+    so a shorter draw is the head of a longer one with the same seed."""
+    if dim == 1:
+        psi = pw.gaussian_packet(grid1d, 0.0, 1.0)
+    else:
+        g = pw.SpatialGrid((64, 64), ((-12.0, 12.0), (-12.0, 12.0)))
+        psi = pw.gaussian_packet(g, (0.0, 1.0), (1.0, 2.0))
+    full = pw.born_sample(psi, 500, seed=5)
+    for k in (0, 1, 100):
+        head = pw.born_sample(psi, k, seed=5)
+        assert head.shape == (k, dim)
+        assert np.array_equal(head, full[:k]), k
