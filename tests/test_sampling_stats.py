@@ -77,10 +77,13 @@ def test_born_sampling_2d_tent_marginals():
     """Each axis's marginal of the tent state, folded to [-dx, dx], is the
     triangular law of the bilinear interpolant (KS, two statistics at
     LEVEL). On the same draws the uniform-in-cell law is refused, so the
-    test can tell the within-cell shape."""
+    test can tell the within-cell shape. Cells of exact zeros send no draw
+    off the box: every draw is finite and inside [qmin, qmax)."""
     psi = _tent_state()
     g = psi.grid
     x = pw.born_sample(psi, 20000, seed=0)
+    assert np.all(np.isfinite(x))
+    assert np.all((x >= g.qmin) & (x < g.qmax))
     for axis in (0, 1):
         d = _folded_offsets(x, g, axis)
         h = g.dx[axis]
@@ -109,14 +112,6 @@ def test_born_sampling_2d_block_masses():
         expected = n * want.ravel() / want.sum()
         assert expected.min() > 5
         assert stats.chisquare(obs.ravel(), expected).pvalue > LEVEL
-
-
-def test_born_sampling_2d_zero_cells_stay_in_box():
-    psi = _tent_state()
-    g = psi.grid
-    x = pw.born_sample(psi, 20000, seed=4)
-    assert np.all(np.isfinite(x))
-    assert np.all((x >= g.qmin) & (x < g.qmax))
 
 
 def test_born_sampling_2d_refuses_zero_density():
