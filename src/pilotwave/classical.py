@@ -24,6 +24,7 @@ from .grid import SpatialGrid
 from .schrodinger import FreePotential, PropagatorConfig, propagate
 from .trajectories import (
     Trajectory,
+    _check_time_step,
     _integrate,
     _rk4_step,
     integrate_trajectory,
@@ -41,9 +42,15 @@ def _as_points(q) -> np.ndarray:
 
 
 class ActionField:
-    """Scalar action on configuration space with closed-form partials."""
+    """Scalar action on configuration space with closed-form partials.
+
+    The gradient is defined at every point for t > ``singular_until``
+    (-inf: always); at or before it, ``gradient_defined`` says where:
+    nowhere, unless a subclass overrides it.
+    """
 
     mass = 1.0
+    singular_until = -np.inf
 
     def evaluate(self, q, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -55,7 +62,14 @@ class ActionField:
         raise NotImplementedError
 
     def gradient_defined(self, q, t: float) -> bool:
-        return True
+        return t > self.singular_until
+
+    def velocity(self, q, t: float) -> np.ndarray:
+        """grad S / m at points q (N, dim) and a scalar time t where the
+        gradient is defined, as an array that broadcasts to q's shape: the
+        flow of a classical path, which a closed form may serve without
+        the argument checks of ``gradient``."""
+        return self.gradient(q, t) / self.mass
 
 
 class PlaneWaveAction(ActionField):
@@ -65,6 +79,8 @@ class PlaneWaveAction(ActionField):
         self.momentum = np.atleast_1d(np.asarray(momentum, dtype=float))
         self.mass = float(mass)
         self.offset = float(offset)
+        self._velocity = self.momentum / self.mass
+        self._velocity.setflags(write=False)
 
     def evaluate(self, q, t):
         pts = _as_points(q)
@@ -74,6 +90,9 @@ class PlaneWaveAction(ActionField):
     def gradient(self, q, t):
         pts = _as_points(q)
         return np.broadcast_to(self.momentum, pts.shape).copy()
+
+    def velocity(self, q, t):
+        return self._velocity
 
     def time_derivative(self, q, t):
         pts = _as_points(q)
@@ -89,6 +108,8 @@ class CircularAction(ActionField):
     must be supplied to the integrator. ``t`` may be a scalar or one time
     per query point.
     """
+
+    singular_until = 0.0
 
     def __init__(self, center, mass: float = 1.0):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -119,8 +140,8 @@ class CircularAction(ActionField):
         r2 = np.sum((pts - self.center) ** 2, axis=1)
         return -self.mass * r2 / (2.0 * t**2)
 
-    def gradient_defined(self, q, t):
-        return t > 0.0
+    def velocity(self, q, t):
+        return self.mass * (q - self.center) / t / self.mass
 
 
 class TransportedAction(ActionField):
@@ -206,22 +227,24 @@ def classical_trajectory(state: ClassicalState, t_end: float,
     """RK4 on dQ/dt = grad S(Q, t) / m from (q0, t0) to t_end.
 
     The path is a one-member batch of the loop that moves guided ensembles;
-    only the velocity field differs. Where the gradient is undefined (the
-    circular action at t = 0) the velocity falls back to p0/m; without p0
-    this raises UndefinedGradientError — the pathological start the
-    circular family is known for.
+    only the velocity field differs, the action's ``velocity``. Only a
+    stage at or before the action's ``singular_until`` asks
+    ``gradient_defined``; where the gradient is undefined (the circular
+    action at t = 0) the velocity falls back to p0/m. Without p0 this
+    raises UndefinedGradientError — the pathological start the circular
+    family is known for.
     """
     action = state.action
-    mass = action.mass
+    regular_after = action.singular_until
     unflagged = np.zeros(1, dtype=bool)
 
     def flow(q, t):
-        if action.gradient_defined(q, t):
-            return action.gradient(q, t) / mass, unflagged
+        if t > regular_after or action.gradient_defined(q, t):
+            return action.velocity(q, t), unflagged
         if state.p0 is None:
             raise UndefinedGradientError(
                 f"action gradient undefined at t = {t:g} and no p0 given")
-        return state.p0[None] / mass, unflagged
+        return state.p0[None] / action.mass, unflagged
 
     return _integrate(flow, state.q0[None], state.t0, t_end, dt,
                       record_velocities=True).trajectory(0)
@@ -304,6 +327,7 @@ def transport_classical(density0: ClassicalDensity, action: ActionField,
     grid = density0.grid
     if grid.dim != 1:
         raise NotImplementedError("characteristic transport is 1D")
+    _check_time_step(dt)
     mass = action.mass
     q_nodes = grid.axes[0].copy()
     span = t_end - t_start

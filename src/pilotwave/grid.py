@@ -65,6 +65,7 @@ class SpatialGrid:
         self.qmax.setflags(write=False)
         self.lengths.setflags(write=False)
         self.dx.setflags(write=False)
+        self._length_bits = self.lengths.view(np.uint64)
 
     @property
     def size(self) -> int:
@@ -98,16 +99,18 @@ class SpatialGrid:
         """Positions -> fractional grid indices (for interpolation), wrapped.
 
         The bytes equal ``np.mod(x - qmin, lengths) / dx``. Only the entries
-        whose offset ``x - qmin`` lies outside [0, lengths) take the modulo.
-        The modulo returns an in-box offset unchanged except -0.0, which it
-        maps to +0.0; ``+= 0.0`` does that for the entries it skips.
+        whose offset ``x - qmin`` lies outside [+0.0, lengths) take the
+        modulo, which returns an in-box offset unchanged. Doubles of one
+        sign order as their bit patterns, so one unsigned comparison finds
+        those entries: negative offsets and -0.0 (which the modulo maps to
+        +0.0) carry the sign bit, and inf and NaN an exponent above that of
+        any finite length.
         """
         d = np.asarray(x, dtype=float) - self.qmin
-        outside = (d < 0.0) | (d >= self.lengths)
+        outside = d.view(np.uint64) >= self._length_bits
         if np.count_nonzero(outside):
             lengths = np.broadcast_to(self.lengths, d.shape)
             d[outside] = np.mod(d[outside], lengths[outside])
-        d += 0.0
         d /= self.dx
         return d
 

@@ -106,8 +106,9 @@ class PropagatorConfig:
     monitor_edges: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(
+                f"dt must be a finite positive number, got {self.dt!r}")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
         if self.snapshot_stride < 1:

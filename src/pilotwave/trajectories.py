@@ -25,9 +25,12 @@ ordering is meaningful even when a path runs around the box.
 
 One private loop, ``_integrate``, moves every path: guided ensembles under
 ``GuidingField.velocity`` and classical paths (``classical_trajectory``,
-a one-member batch) under grad(S)/m. The two theories differ in the field,
-not in how the particle is moved. A recorded velocity is the k1 the next
-step computes anyway, so recording costs one extra query, at the end.
+a one-member batch) under the action's grad(S)/m. The two theories differ
+in the field, not in how the particle is moved. A recorded velocity is the
+k1 the next step computes anyway, so recording costs one extra query, at
+the end. Until a member halts the loop moves the whole batch, with no
+gather or scatter, and it takes the retry path only for a step that raised
+a flag; so a one-member path pays little beyond its four field queries.
 """
 
 from dataclasses import dataclass
@@ -77,8 +80,9 @@ class GuidingField:
     and blends it and the gate linearly between k and k+1: a convex
     combination of the corners of the point's cell in both snapshots. So a
     point whose cell corners all clear their gates in both, by a relative
-    margin of 1e-12, is certified unflagged from a boolean "safe cell" grid
-    per snapshot. Only the other points are interpolated, on a |psi|^2 grid
+    margin of 1e-12, is certified unflagged from a boolean grid per
+    snapshot of the cells that fail this ("unsafe"). Only the points in an
+    unsafe cell of either snapshot are interpolated, on a |psi|^2 grid
     blended at most once per query time; every flag has the value the full
     interpolation gives.
 
@@ -108,7 +112,7 @@ class GuidingField:
         self._v_coef = [np.empty(stack) for _ in range(self.grid.dim)]
         self._rho = np.empty(stack)
         self._gate = np.empty(len(snapshots))
-        self._safe = np.empty(stack, dtype=bool)
+        self._unsafe = np.empty(stack, dtype=bool)
         for i, snap in enumerate(snapshots):
             if not isinstance(snap, WaveField):
                 raise TypeError("GuidingField takes WaveField snapshots, "
@@ -122,7 +126,7 @@ class GuidingField:
                 coef[i] = ndimage.spline_filter(va, order=3, mode="grid-wrap")
             self._rho[i] = rho
             self._gate[i] = gate
-            self._safe[i] = _cell_min(rho) > gate * (1.0 + _CERT_MARGIN)
+            self._unsafe[i] = _cell_min(rho) <= gate * (1.0 + _CERT_MARGIN)
         self._cell_max = np.array(self.grid.shape, dtype=float)[:, None] - 1.0
         self._last_blend = None
 
@@ -144,7 +148,7 @@ class GuidingField:
         blend = self._last_blend
         if blend is None or blend.t != t:
             blend = self._last_blend = self._blend(t)
-        v = np.empty(coords.T.shape)
+        v = np.empty(x.shape)
         for a, c in enumerate(blend.v_coef):
             ndimage.map_coordinates(c, coords, output=v[:, a], order=3,
                                     mode="grid-wrap", prefilter=False)
@@ -155,10 +159,11 @@ class GuidingField:
         round to exactly n, a corner of cell n - 1 too; fmin also sends NaN
         to a valid cell, so NaN points are left to the interpolation."""
         cell = tuple(np.fmin(coords, self._cell_max).astype(np.intp))
-        sure = self._safe[blend.k][cell] & self._safe[blend.k1][cell]
-        sure &= ~np.isnan(coords).any(axis=0)
-        flags = np.zeros(sure.shape, dtype=bool)
-        todo = np.flatnonzero(~sure)
+        todo = self._unsafe[blend.k][cell] | self._unsafe[blend.k1][cell]
+        for c in coords:
+            todo |= np.isnan(c)
+        todo = todo.nonzero()[0]
+        flags = np.zeros(coords.shape[1], dtype=bool)
         if todo.size:
             if blend.rho is None:
                 k, k1, s = blend.k, blend.k1, blend.s
@@ -359,6 +364,14 @@ def _substep_chain(f, x, t, dt, parts):
     return xi, flagged
 
 
+def _check_time_step(dt) -> None:
+    """Refuse a time step that is not a finite positive number: a negative
+    one would round to a single step over the whole span, 0 divides by
+    zero, and NaN fails as an integer."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be a finite positive number, got {dt!r}")
+
+
 def _integrate(f, x0: np.ndarray, t0: float, t1: float, dt: float,
                record_stride: int = 1,
                record_velocities: bool = False) -> EnsembleResult:
@@ -369,12 +382,14 @@ def _integrate(f, x0: np.ndarray, t0: float, t1: float, dt: float,
     start; if still flagged it halts there (halts are data, not errors).
     The velocity recorded at a step start is that step's k1 (zero for
     halted members); only the final record makes its own query. t1 == t0
-    or an empty batch takes no step.
+    or an empty batch takes no step; a dt that is not a finite positive
+    number raises ValueError.
     """
     n, dim = x0.shape
     span = t1 - t0
     if span < 0:
         raise ValueError("t1 must be >= t0")
+    _check_time_step(dt)
     n_steps = max(1, int(round(span / dt))) if span > 0 and n > 0 else 0
     dt_eff = span / n_steps if n_steps else 0.0
 
@@ -388,22 +403,27 @@ def _integrate(f, x0: np.ndarray, t0: float, t1: float, dt: float,
     halt_times = np.full(n, np.nan)
 
     x = x0.copy()
-    active = np.ones(n, dtype=bool)
+    # the members still moving: all of them (a slice, so no gather or
+    # scatter copies) until the first halt, then a mask
+    moving = slice(None)
     for step in range(n_steps + 1):
         t = t0 + step * dt_eff
         r = rec_map.get(step)
         if r is not None:
             positions[r] = x
-        if not active.any():
+        xa = x[moving]
+        if not len(xa):
             continue
-        xa = x[active]
         if step == n_steps:
             if record_velocities:
-                velocities[r, active] = f(xa, t)[0]
+                velocities[r, moving] = f(xa, t)[0]
             break
         x_new, fl, k1 = _rk4_step(f, xa, t, dt_eff)
         if r is not None and record_velocities:
-            velocities[r, active] = k1
+            velocities[r, moving] = k1
+        if not fl.any():
+            x[moving] = x_new
+            continue
         # retry the flagged members at dt/2 and dt/4, each time from the
         # step start
         todo = np.flatnonzero(fl)
@@ -412,14 +432,14 @@ def _integrate(f, x0: np.ndarray, t0: float, t1: float, dt: float,
                 break
             x_new[todo], fl = _substep_chain(f, xa[todo], t, dt_eff, parts)
             todo = todo[fl]
+        # flagged at every resolution: halt at the step start
+        x_new[todo] = xa[todo]
+        x[moving] = x_new
         if todo.size:
-            # flagged at every resolution: halt at the step start
-            x_new[todo] = xa[todo]
-            halted = np.flatnonzero(active)[todo]
+            halted = np.flatnonzero(status == 0)[todo]
             status[halted] = 1
             halt_times[halted] = t
-        x[active] = x_new
-        active = status == 0
+            moving = status == 0
     times = np.array([t0 + s * dt_eff for s in record_idx])
     return EnsembleResult(times=times, positions=positions, status=status,
                           halt_times=halt_times, velocities=velocities)

@@ -170,6 +170,79 @@ class FocusingAction(pw.ActionField):
         return -self.mass * np.sum(pts**2, axis=1) / (2.0 * (t - self.tc) ** 2)
 
 
+class ShiftedFocusingAction(pw.ActionField):
+    """S = m |q - c|^2 / (2 (t - tc)), focusing on c at time tc. It
+    defines only ``gradient``, so it takes the generic route: the base
+    class's ``velocity``."""
+
+    def __init__(self, center, tc, mass):
+        self.center = np.atleast_1d(np.asarray(center, float))
+        self.tc = tc
+        self.mass = mass
+
+    def gradient(self, q, t):
+        pts = np.atleast_2d(np.asarray(q, float))
+        return self.mass * (pts - self.center) / (t - self.tc)
+
+
+def _hand_rk4(action, q0, t0, t_end, dt):
+    """RK4 of dQ/dt = grad S / m written out, with the loop's arithmetic;
+    returns the record times, positions and velocities (k1, then the
+    final query)."""
+    def v(q, t):
+        return action.gradient(q, t) / action.mass
+
+    n_steps = max(1, int(round((t_end - t0) / dt)))
+    h = (t_end - t0) / n_steps
+    x = np.atleast_1d(np.asarray(q0, float))[None]
+    times, xs, vs = [], [], []
+    for step in range(n_steps + 1):
+        t = t0 + step * h
+        k1 = v(x, t)
+        times.append(t)
+        xs.append(x[0])
+        vs.append(np.broadcast_to(k1, x.shape)[0])
+        if step == n_steps:
+            break
+        k2 = v(x + 0.5 * h * k1, t + 0.5 * h)
+        k3 = v(x + 0.5 * h * k2, t + 0.5 * h)
+        k4 = v(x + h * k3, t + h)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.array(times), np.array(xs), np.array(vs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (ShiftedFocusingAction([0.3], -0.7, 2.0), 0.2),
+    lambda: (ShiftedFocusingAction([0.5, -1.0], -0.4, 1.5), 0.0),
+    lambda: (PlaneWaveAction([1.5], 3.0), 0.0),
+    lambda: (PlaneWaveAction([1.5, -0.5], 0.7), 0.3),
+    lambda: (CircularAction([0.25], 3.0), 0.1),
+    lambda: (CircularAction([0.25, 1.0], 0.7), 0.4),
+], ids=["focusing-1d", "focusing-2d", "plane-1d", "plane-2d",
+        "circular-1d", "circular-2d"])
+def test_classical_trajectory_is_rk4_of_the_gradient_bit_for_bit(make):
+    """Any ActionField is moved by grad S / m alone: a subclass defined
+    here takes the generic route, and the closed forms' own velocities
+    must give the same bits as their gradients."""
+    action, t0 = make()
+    q0 = np.full(action.center.shape if hasattr(action, "center")
+                 else action.momentum.shape, 0.9)
+    traj = pw.classical_trajectory(ClassicalState(q0, action, t0=t0),
+                                   t0 + 1.3, 0.01)
+    times, xs, vs = _hand_rk4(action, q0, t0, t0 + 1.3, 0.01)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.positions.tobytes() == xs.tobytes()
+    assert traj.velocities.tobytes() == vs.tobytes()
+
+
+def test_transport_refuses_a_time_step_that_is_not_finite_positive(
+        gaussian_density):
+    for dt in (-0.01, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be a finite positive"):
+            pw.transport_classical(gaussian_density,
+                                   PlaneWaveAction([2.0], 1.0), 1.0, dt)
+
+
 def test_caustic_detection_carries_partial(gaussian_density):
     with pytest.raises(pw.CausticDetectedError) as exc:
         pw.transport_classical(gaussian_density, FocusingAction(1.0),

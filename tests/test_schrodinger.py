@@ -140,6 +140,13 @@ def test_continuity_needs_three_snapshots(grid1d):
         pw.continuity_residual([psi, psi])
 
 
+@pytest.mark.parametrize("dt", [-0.01, 0.0, np.nan, np.inf])
+def test_config_refuses_a_time_step_that_is_not_finite_positive(dt):
+    """NaN passed the old dt <= 0 check and failed later, on the field."""
+    with pytest.raises(ValueError, match="dt must be a finite positive"):
+        pw.PropagatorConfig(dt=dt, steps=10)
+
+
 def test_step_size_warning():
     g = pw.SpatialGrid(1024, (-20.0, 20.0))
     psi = pw.gaussian_packet(g, 0.0, 1.0)

@@ -7,6 +7,7 @@ from scipy import ndimage
 import pilotwave as pw
 from pilotwave.trajectories import (
     GuidingField,
+    _integrate,
     integrate_ensemble,
     wave_velocity_grids,
 )
@@ -221,6 +222,54 @@ def test_non_finite_start_is_refused_not_halted(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             pw.propagate_ensemble(snaps, [[0.0], [bad]], 0.01)
+
+
+@pytest.mark.parametrize("dt", [-0.01, 0.0, np.nan, np.inf])
+def test_integration_refuses_a_time_step_that_is_not_finite_positive(
+        free_gaussian_run, dt):
+    """A negative dt would round to one step over the whole span, 0 would
+    divide by zero and NaN fail as an integer: all refused, naming dt."""
+    x0 = np.array([[0.5], [-0.5]])
+    with pytest.raises(ValueError, match="dt must be a finite positive"):
+        pw.propagate_ensemble(free_gaussian_run, x0, dt)
+    state = pw.ClassicalState([0.0], pw.PlaneWaveAction([1.0]))
+    with pytest.raises(ValueError, match="dt must be a finite positive"):
+        pw.classical_trajectory(state, 1.0, dt)
+
+
+def _walled_flow(x, t):
+    """A synthetic flow with per-member arithmetic only, flagged beyond a
+    wall at x = 2: every resolution of a step that reaches it is flagged,
+    so a member halts at the start of that step."""
+    return 1.0 - 0.05 * x + 0.02 * t, x[:, 0] > 2.0
+
+
+def test_loop_bookkeeping_across_halts_matches_one_member_batches():
+    """A batch in which members halt partway (the switch from the whole
+    batch to the members still moving) gives, bit for bit, what each
+    member gives as its own one-member batch."""
+    x0 = np.array([[1.7], [-1.5], [1.2], [-4.0]])
+    batch = _integrate(_walled_flow, x0, 0.0, 3.0, 0.1, record_stride=3,
+                       record_velocities=True)
+    # two members halt at different steps after the start, two do not
+    halted = np.flatnonzero(batch.status)
+    assert len(halted) == 2 and len(set(batch.halt_times[halted])) == 2
+    assert np.all(batch.halt_times[halted] > 0.0)
+    for i in range(len(x0)):
+        one = _integrate(_walled_flow, x0[i:i + 1], 0.0, 3.0, 0.1,
+                         record_stride=3, record_velocities=True)
+        assert one.times.tobytes() == batch.times.tobytes()
+        assert one.positions[:, 0].tobytes() == batch.positions[:, i].tobytes()
+        assert one.velocities[:, 0].tobytes() == \
+            batch.velocities[:, i].tobytes()
+        assert one.status[0] == batch.status[i]
+        assert one.halt_times[0:1].tobytes() == \
+            batch.halt_times[i:i + 1].tobytes()
+        if one.status[0]:
+            # frozen at the start of the step it could not take
+            fine = _integrate(_walled_flow, x0[i:i + 1], 0.0, 3.0, 0.1)
+            start = fine.positions[fine.times == one.halt_times[0], 0]
+            assert start.tobytes() == batch.positions[-1, i].tobytes()
 
 
 def test_trajectory_halts_at_node(circle):
