@@ -59,14 +59,13 @@ def main():
     rho0 = np.exp(-(q**2) / 2.0) / np.sqrt(2.0 * np.pi)
     res_t = pw.transport_classical(ClassicalDensity(grid, rho0),
                                    PlaneWaveAction([2.0], 1.0),
-                                   t_end=2.0, dt=0.01, n_records=3)
+                                   t_end=2.0, n_records=3)
     peak = q[np.argmax(res_t.densities[-1].values)]
     print(f"   plane-wave action: peak moved to q = {peak:.3f} "
           f"(rigid translation at P/m = 2)")
     res_d = pw.transport_classical(ClassicalDensity(grid, rho0, time=0.5),
                                    CircularAction([0.0], 1.0),
-                                   t_end=1.0, dt=0.005, n_records=3,
-                                   t_start=0.5)
+                                   t_end=1.0, n_records=3, t_start=0.5)
     w0 = np.sqrt(grid.integrate(q**2 * res_d.densities[0].values))
     w1 = np.sqrt(grid.integrate(q**2 * res_d.densities[-1].values))
     print(f"   point-source action: width {w0:.3f} -> {w1:.3f} "

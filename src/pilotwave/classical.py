@@ -24,9 +24,7 @@ from .grid import SpatialGrid
 from .schrodinger import FreePotential, PropagatorConfig, propagate
 from .trajectories import (
     Trajectory,
-    _check_time_step,
     _integrate,
-    _rk4_step,
     integrate_trajectory,
     velocity_at,
 )
@@ -45,8 +43,7 @@ class ActionField:
     """Scalar action on configuration space with closed-form partials.
 
     The gradient is defined at every point for t > ``singular_until``
-    (-inf: always); at or before it, ``gradient_defined`` says where:
-    nowhere, unless a subclass overrides it.
+    (-inf: always) and nowhere at or before it.
     """
 
     mass = 1.0
@@ -60,9 +57,6 @@ class ActionField:
 
     def time_derivative(self, q, t: float) -> np.ndarray:
         raise NotImplementedError
-
-    def gradient_defined(self, q, t: float) -> bool:
-        return t > self.singular_until
 
     def velocity(self, q, t: float) -> np.ndarray:
         """grad S / m at points q (N, dim) and a scalar time t where the
@@ -117,9 +111,10 @@ class CircularAction(ActionField):
 
     def _check_time(self, t):
         t_min = t if np.isscalar(t) else np.min(t)
-        if t_min <= 0.0:
+        if t_min <= self.singular_until:
             raise UndefinedGradientError(
-                f"circular action is singular at t = {t_min:g} (needs t > 0)"
+                f"circular action is singular at t = {t_min:g} "
+                f"(needs t > {self.singular_until:g})"
             )
 
     def evaluate(self, q, t):
@@ -191,7 +186,9 @@ class ClassicalState:
     """Initial data (Q0, action) for the classical guiding law.
 
     ``p0`` may be omitted when the action's gradient is defined at the
-    start; when both are given they must agree to 1e-10.
+    start; when both are given they must agree to 1e-10. A start before
+    the action's ``singular_until`` raises UndefinedGradientError: the path
+    would run through the singularity.
     """
 
     q0: np.ndarray
@@ -201,9 +198,13 @@ class ClassicalState:
 
     def __post_init__(self):
         self.q0 = np.atleast_1d(np.asarray(self.q0, dtype=float))
+        if self.t0 < self.action.singular_until:
+            raise UndefinedGradientError(
+                f"start t0 = {self.t0:g} precedes the action's singular "
+                f"time {self.action.singular_until:g}")
         if self.p0 is not None:
             self.p0 = np.atleast_1d(np.asarray(self.p0, dtype=float))
-            if self.action.gradient_defined(self.q0, self.t0):
+            if self.t0 > self.action.singular_until:
                 g = self.action.gradient(self.q0, self.t0)[0]
                 if np.linalg.norm(g - self.p0) >= 1e-10:
                     raise ValueError(
@@ -227,19 +228,19 @@ def classical_trajectory(state: ClassicalState, t_end: float,
     """RK4 on dQ/dt = grad S(Q, t) / m from (q0, t0) to t_end.
 
     The path is a one-member batch of the loop that moves guided ensembles;
-    only the velocity field differs, the action's ``velocity``. Only a
-    stage at or before the action's ``singular_until`` asks
-    ``gradient_defined``; where the gradient is undefined (the circular
-    action at t = 0) the velocity falls back to p0/m. Without p0 this
-    raises UndefinedGradientError — the pathological start the circular
-    family is known for.
+    only the velocity field differs, the action's ``velocity``. At a stage
+    at the action's ``singular_until`` (the circular action at t = 0; a
+    state cannot start before it) the gradient is undefined and the
+    velocity falls back to p0/m. Without p0 this raises
+    UndefinedGradientError — the pathological start the circular family
+    is known for.
     """
     action = state.action
     regular_after = action.singular_until
     unflagged = np.zeros(1, dtype=bool)
 
     def flow(q, t):
-        if t > regular_after or action.gradient_defined(q, t):
+        if t > regular_after:
             return action.velocity(q, t), unflagged
         if state.p0 is None:
             raise UndefinedGradientError(
@@ -311,84 +312,69 @@ class TransportResult:
 
 
 def transport_classical(density0: ClassicalDensity, action: ActionField,
-                        t_end: float, dt: float, n_records: int = 9,
+                        t_end: float, n_records: int = 9,
                         t_start: float = 0.0,
                         jacobian_floor: float = 1e-8) -> TransportResult:
     """Carry a 1D density and its action along classical characteristics.
 
-    Characteristics start on the grid nodes and obey dQ/dt = grad S / m;
-    the density transports as rho(Q(t), t) = rho0 / J with J the stretch of
-    the characteristic map, and S rides along via dS/dt = m v^2 / 2.
-    Records are resampled onto the grid with cubic splines (zero outside
-    the characteristic hull, which must stay inside the box for mass to be
-    conserved). A Jacobian falling below ``jacobian_floor`` means a
-    caustic: CausticDetectedError is raised carrying the partial result.
+    Every action solves free HJ, so the characteristic from node q is the
+    line x = q + v0 tau, with v0 = grad S(q, t_start) / m and
+    tau = t - t_start, and it carries S = S0 + m v0^2 tau / 2. Its stretch
+    J = 1 + tau dJ, with dJ the node derivative of v0, is linear in tau,
+    and the density transports as rho0 / J: no step is taken. Records fall
+    at ``n_records`` equally spaced times from t_start to t_end (one, a
+    copy of rho0, when they coincide) and are resampled onto the grid with
+    cubic splines (zero outside the characteristic hull, which must stay
+    inside the box for mass to be conserved). J first reaches
+    ``jacobian_floor`` at tau* = (floor - 1) / min dJ; a caustic there,
+    inside the window, raises CausticDetectedError naming that time and
+    carrying the records before it. t_end < t_start, or fewer than two
+    records on a window of positive length, raises ValueError.
     """
     grid = density0.grid
     if grid.dim != 1:
         raise NotImplementedError("characteristic transport is 1D")
-    _check_time_step(dt)
-    mass = action.mass
-    q_nodes = grid.axes[0].copy()
     span = t_end - t_start
-    n_steps = max(1, int(round(span / dt))) if span > 0 else 0
-    record_every = max(1, n_steps // max(1, n_records - 1)) if n_steps else 1
+    if span < 0:
+        raise ValueError("t_end must be >= t_start")
+    if span > 0 and n_records < 2:
+        raise ValueError(
+            f"n_records must be >= 2 on a window of positive length, "
+            f"got {n_records}")
+    # imported here: only transport needs it, and it is slow to load
+    from scipy.interpolate import CubicSpline
 
-    x = q_nodes.copy()
-    s = np.asarray(action.evaluate(q_nodes[:, None], t_start), dtype=float)
+    q_nodes = grid.axes[0]
+    v0 = action.gradient(q_nodes[:, None], t_start)[:, 0] / action.mass
+    s0 = np.asarray(action.evaluate(q_nodes[:, None], t_start), dtype=float)
+    d_jac = np.gradient(v0, q_nodes)
+    taus = np.linspace(0.0, span, n_records if span > 0 else 1)
+    min_jac = min(1.0, 1.0 + span * d_jac.min())
+    caustic = min_jac < jacobian_floor
+    if caustic:
+        tau_c = (jacobian_floor - 1.0) / d_jac.min()
+        taus = taus[taus < tau_c]
+        min_jac = jacobian_floor
 
-    def rhs(y, t):
-        # y stacks the characteristic positions and the action they carry
-        xv = y[0]
-        g = action.gradient(xv[:, None], t)[:, 0]
-        v = g / mass
-        return np.stack([v, 0.5 * mass * v**2]), False
-
-    rec_times = [t_start]
-    rec_x = [x.copy()]
-    rec_s = [s.copy()]
     densities = [ClassicalDensity(grid, density0.values.copy(), t_start)]
-    min_jac = 1.0
-
-    def resample(xc, vals, outside=0.0):
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(xc, vals)
-        out = np.full(grid.shape[0], outside)
-        inside = (q_nodes >= xc[0]) & (q_nodes <= xc[-1])
-        out[inside] = spline(q_nodes[inside])
-        return out
-
-    def caustic(reason):
-        partial = TransportResult(
-            densities, TransportedAction(np.array(rec_times), rec_x, rec_s),
-            min_jac)
-        raise CausticDetectedError(reason, partial=partial)
-
-    for step in range(n_steps):
-        t = t_start + step * span / n_steps
-        with np.errstate(all="ignore"):
-            x, s = _rk4_step(rhs, np.stack([x, s]), t, span / n_steps)[0]
-        t_now = t_start + (step + 1) * span / n_steps
-        if not np.all(np.isfinite(x)):
-            caustic(f"characteristics became non-finite near t = {t_now:g} "
-                    "(caustic crossed within one step)")
-        jac = np.gradient(x, q_nodes)
-        jmin = float(np.min(jac))
-        min_jac = min(min_jac, jmin)
-        if jmin < jacobian_floor:
-            caustic(
-                f"characteristic Jacobian fell to {jmin:.3e} at t = {t_now:g}")
-        if (step + 1) % record_every == 0 or step + 1 == n_steps:
-            rho_c = density0.values / jac
-            densities.append(ClassicalDensity(grid, np.maximum(
-                resample(x, rho_c), 0.0), t_now))
-            rec_times.append(t_now)
-            rec_x.append(x.copy())
-            rec_s.append(s.copy())
-    return TransportResult(densities,
-                           TransportedAction(np.array(rec_times), rec_x, rec_s),
-                           min_jac)
+    rec_x, rec_s = [q_nodes.copy()], [s0]
+    for tau in taus[1:]:
+        x = q_nodes + v0 * tau
+        inside = (q_nodes >= x[0]) & (q_nodes <= x[-1])
+        rho = np.zeros(grid.shape[0])
+        rho[inside] = CubicSpline(x, density0.values / (1.0 + tau * d_jac))(
+            q_nodes[inside])
+        densities.append(
+            ClassicalDensity(grid, np.maximum(rho, 0.0), t_start + tau))
+        rec_x.append(x)
+        rec_s.append(s0 + 0.5 * action.mass * v0**2 * tau)
+    result = TransportResult(
+        densities, TransportedAction(t_start + taus, rec_x, rec_s), min_jac)
+    if caustic:
+        raise CausticDetectedError(
+            f"characteristic Jacobian reaches {jacobian_floor:.3e} at "
+            f"t = {t_start + tau_c:g}", partial=result)
+    return result
 
 
 @dataclass

@@ -38,6 +38,14 @@ def test_circular_start_at_zero_with_momentum_bootstraps():
     assert np.max(np.abs(traj.positions[:, 0] - 2.0 * traj.times)) < 1e-10
 
 
+def test_start_before_the_singular_time_refused():
+    # it would move at p0/m up to t = 0, then read (q - c)/t just after it
+    with pytest.raises(pw.UndefinedGradientError, match="singular time 0"):
+        ClassicalState([0.0], CircularAction([0.0], 1.0), p0=[2.0], t0=-0.5)
+    with pytest.raises(pw.UndefinedGradientError):
+        ClassicalState([0.0], CircularAction([0.0], 1.0), t0=-1e-12)
+
+
 def test_inconsistent_p0_rejected():
     with pytest.raises(ValueError):
         ClassicalState([0.5], PlaneWaveAction([2.0], 1.0), p0=[1.0])
@@ -85,7 +93,7 @@ def gaussian_density():
 
 def test_transport_rigid_translation(gaussian_density):
     res = pw.transport_classical(gaussian_density, PlaneWaveAction([2.0], 1.0),
-                                 t_end=2.0, dt=0.01, n_records=5)
+                                 t_end=2.0, n_records=5)
     g = gaussian_density.grid
     q = g.axes[0]
     oracle = np.exp(-((q - 4.0) ** 2) / 2.0) / np.sqrt(2.0 * np.pi)
@@ -97,8 +105,7 @@ def test_transport_rigid_translation(gaussian_density):
 def test_transport_self_similar_dilation(gaussian_density):
     res = pw.transport_classical(
         ClassicalDensity(gaussian_density.grid, gaussian_density.values, 0.5),
-        CircularAction([0.0], 1.0), t_end=1.0, dt=0.005, n_records=3,
-        t_start=0.5)
+        CircularAction([0.0], 1.0), t_end=1.0, n_records=3, t_start=0.5)
     g = gaussian_density.grid
     q = g.axes[0]
     # q -> 2q dilation: width doubles, amplitude halves
@@ -109,14 +116,14 @@ def test_transport_self_similar_dilation(gaussian_density):
 
 def test_transport_zero_time_identity(gaussian_density):
     res = pw.transport_classical(gaussian_density, PlaneWaveAction([2.0], 1.0),
-                                 t_end=0.0, dt=0.01)
+                                 t_end=0.0)
     assert len(res.densities) == 1
     assert np.array_equal(res.densities[0].values, gaussian_density.values)
 
 
 def test_transported_action_rides_along(gaussian_density):
     action = PlaneWaveAction([2.0], 1.0, offset=0.3)
-    res = pw.transport_classical(gaussian_density, action, t_end=1.0, dt=0.01,
+    res = pw.transport_classical(gaussian_density, action, t_end=1.0,
                                  n_records=5)
     for t in (0.25, 0.8):
         q = np.array([[1.0], [3.0]])
@@ -133,7 +140,7 @@ def test_transported_continuity_second_order(gaussian_density):
 
     def residual(n_records):
         res = pw.transport_classical(gaussian_density, action, t_end=0.5,
-                                     dt=2.5e-4, n_records=n_records)
+                                     n_records=n_records)
         dens = res.densities
         worst = 0.0
         for i in range(1, len(dens) - 1):
@@ -219,23 +226,48 @@ def test_classical_trajectory_is_rk4_of_the_gradient_bit_for_bit(
     assert traj.velocities.tobytes() == vs.tobytes()
 
 
-def test_transport_refuses_a_time_step_that_is_not_finite_positive(
-        gaussian_density):
-    for dt in (-0.01, 0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="dt must be a finite positive"):
-            pw.transport_classical(gaussian_density,
-                                   PlaneWaveAction([2.0], 1.0), 1.0, dt)
-
-
 def test_caustic_detection_carries_partial(gaussian_density):
     with pytest.raises(pw.CausticDetectedError) as exc:
         pw.transport_classical(gaussian_density, FocusingAction(1.0),
-                               t_end=2.0, dt=0.005, n_records=10,
-                               jacobian_floor=1e-2)
+                               t_end=2.0, n_records=10, jacobian_floor=1e-2)
     partial = exc.value.partial
     assert partial is not None
     assert len(partial.densities) >= 1
     assert partial.min_jacobian < 0.1
+
+
+def test_transport_records_are_equally_spaced(gaussian_density):
+    res = pw.transport_classical(gaussian_density, PlaneWaveAction([2.0], 1.0),
+                                 t_end=1.0)
+    times = [d.time for d in res.densities]
+    assert times == list(np.linspace(0.0, 1.0, 9))
+    assert np.array_equal(res.action.times, times)
+
+
+def test_transport_refuses_a_reversed_window(gaussian_density):
+    with pytest.raises(ValueError, match="t_end must be >= t_start"):
+        pw.transport_classical(gaussian_density, PlaneWaveAction([2.0], 1.0),
+                               t_end=0.5, t_start=1.0)
+
+
+def test_transport_refuses_fewer_than_two_records(gaussian_density):
+    for n_records in (1, 0):
+        with pytest.raises(ValueError, match="n_records must be >= 2"):
+            pw.transport_classical(gaussian_density,
+                                   PlaneWaveAction([2.0], 1.0), t_end=1.0,
+                                   n_records=n_records)
+
+
+def test_caustic_between_records_is_raised_at_its_time(gaussian_density):
+    # J = 1 - t reaches the floor at t = 0.99, between the records at 0 and 2
+    with pytest.raises(pw.CausticDetectedError, match=r"at t = 0\.99$") as exc:
+        pw.transport_classical(gaussian_density, FocusingAction(1.0),
+                               t_end=2.0, n_records=2, jacobian_floor=1e-2)
+    partial = exc.value.partial
+    assert [d.time for d in partial.densities] == [0.0]
+    assert np.array_equal(partial.densities[0].values,
+                          gaussian_density.values)
+    assert partial.action.times.tolist() == [0.0]
 
 
 def test_transport_is_1d_only():
@@ -243,4 +275,4 @@ def test_transport_is_1d_only():
     rho = np.full(g2.shape, 1.0 / 100.0)
     with pytest.raises(NotImplementedError):
         pw.transport_classical(ClassicalDensity(g2, rho),
-                               PlaneWaveAction([1.0, 0.0], 1.0), 1.0, 0.01)
+                               PlaneWaveAction([1.0, 0.0], 1.0), 1.0)

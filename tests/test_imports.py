@@ -41,3 +41,9 @@ def test_chi_square_gof_p_value_is_scipy_stats_chi2_sf(grid1d):
         samples = pw.born_sample(psi, n, seed=seed)[:, 0]
         stat, dof, p = pw.chi_square_gof(samples, pw.density(psi))
         assert np.float64(p).tobytes() == np.float64(chi2.sf(stat, dof)).tobytes()
+
+
+def test_only_the_trajectories_loop_takes_rk4_steps():
+    users = [p.name for p in sorted((SRC / "pilotwave").glob("*.py"))
+             if "_rk4_step" in p.read_text() and p.name != "trajectories.py"]
+    assert users == []
