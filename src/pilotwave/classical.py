@@ -328,8 +328,9 @@ def transport_classical(density0: ClassicalDensity, action: ActionField,
     inside the box for mass to be conserved). J first reaches
     ``jacobian_floor`` at tau* = (floor - 1) / min dJ; a caustic there,
     inside the window, raises CausticDetectedError naming that time and
-    carrying the records before it. t_end < t_start, or fewer than two
-    records on a window of positive length, raises ValueError.
+    carrying the records before it. t_end < t_start, fewer than two
+    records on a window of positive length, or a floor outside (0, 1)
+    (J starts at 1) raises ValueError.
     """
     grid = density0.grid
     if grid.dim != 1:
@@ -341,6 +342,9 @@ def transport_classical(density0: ClassicalDensity, action: ActionField,
         raise ValueError(
             f"n_records must be >= 2 on a window of positive length, "
             f"got {n_records}")
+    if not 0.0 < jacobian_floor < 1.0:
+        raise ValueError(
+            f"jacobian_floor must lie in (0, 1), got {jacobian_floor!r}")
     # imported here: only transport needs it, and it is slow to load
     from scipy.interpolate import CubicSpline
 
@@ -348,11 +352,12 @@ def transport_classical(density0: ClassicalDensity, action: ActionField,
     v0 = action.gradient(q_nodes[:, None], t_start)[:, 0] / action.mass
     s0 = np.asarray(action.evaluate(q_nodes[:, None], t_start), dtype=float)
     d_jac = np.gradient(v0, q_nodes)
+    d_min = d_jac.min()
     taus = np.linspace(0.0, span, n_records if span > 0 else 1)
-    min_jac = min(1.0, 1.0 + span * d_jac.min())
+    min_jac = min(1.0, 1.0 + span * d_min)
     caustic = min_jac < jacobian_floor
     if caustic:
-        tau_c = (jacobian_floor - 1.0) / d_jac.min()
+        tau_c = (jacobian_floor - 1.0) / d_min
         taus = taus[taus < tau_c]
         min_jac = jacobian_floor
 

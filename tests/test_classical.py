@@ -258,6 +258,15 @@ def test_transport_refuses_fewer_than_two_records(gaussian_density):
                                    n_records=n_records)
 
 
+def test_transport_refuses_a_jacobian_floor_outside_0_1(gaussian_density):
+    # J starts at 1: a floor of 1 or more is a caustic at the start
+    for floor in (2.0, 1.0, 0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="jacobian_floor must lie"):
+            pw.transport_classical(gaussian_density,
+                                   PlaneWaveAction([2.0], 1.0), t_end=1.0,
+                                   jacobian_floor=floor)
+
+
 def test_caustic_between_records_is_raised_at_its_time(gaussian_density):
     # J = 1 - t reaches the floor at t = 0.99, between the records at 0 and 2
     with pytest.raises(pw.CausticDetectedError, match=r"at t = 0\.99$") as exc:
