@@ -18,7 +18,6 @@ import numpy as np
 import pilotwave as pw
 from pilotwave.classical import (
     CircularAction,
-    ClassicalDensity,
     ClassicalState,
     PlaneWaveAction,
 )
@@ -57,20 +56,20 @@ def main():
     grid = pw.SpatialGrid(1024, (-20.0, 20.0))
     q = grid.axes[0]
     rho0 = np.exp(-(q**2) / 2.0) / np.sqrt(2.0 * np.pi)
-    res_t = pw.transport_classical(ClassicalDensity(grid, rho0),
-                                   PlaneWaveAction([2.0], 1.0),
-                                   t_end=2.0, n_records=3)
+    res_t = pw.transport_classical(
+        pw.RealField(grid, rho0, "probability_density"),
+        PlaneWaveAction([2.0], 1.0), t_end=2.0, n_records=3)
     peak = q[np.argmax(res_t.densities[-1].values)]
     print(f"   plane-wave action: peak moved to q = {peak:.3f} "
           f"(rigid translation at P/m = 2)")
-    res_d = pw.transport_classical(ClassicalDensity(grid, rho0, time=0.5),
-                                   CircularAction([0.0], 1.0),
-                                   t_end=1.0, n_records=3, t_start=0.5)
+    res_d = pw.transport_classical(
+        pw.RealField(grid, rho0, "probability_density", time=0.5),
+        CircularAction([0.0], 1.0), t_end=1.0, n_records=3, t_start=0.5)
     w0 = np.sqrt(grid.integrate(q**2 * res_d.densities[0].values))
     w1 = np.sqrt(grid.integrate(q**2 * res_d.densities[-1].values))
     print(f"   point-source action: width {w0:.3f} -> {w1:.3f} "
           f"(self-similar dilation x{w1 / w0:.2f})")
-    print(f"   mass after transport: {res_d.densities[-1].mass():.9f}")
+    print(f"   mass after transport: {res_d.densities[-1].integrate():.9f}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ along-trajectory reconstruction experiments.
 from .classical import (
     ActionField,
     CircularAction,
-    ClassicalDensity,
     ClassicalState,
     PlaneWaveAction,
     TransportedAction,

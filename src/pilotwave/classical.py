@@ -20,7 +20,7 @@ from .errors import (
     PreparationMismatchError,
     UndefinedGradientError,
 )
-from .grid import SpatialGrid
+from .fields import RealField
 from .schrodinger import FreePotential, PropagatorConfig, propagate
 from .trajectories import (
     Trajectory,
@@ -286,37 +286,21 @@ def holland_nonuniqueness(momentum, q0, mass: float, t_end: float,
 
 
 @dataclass
-class ClassicalDensity:
-    """Probability density of the classical statistical ensemble on a grid."""
-
-    grid: SpatialGrid
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ValueError("density shape does not match grid")
-        if np.any(self.values < 0):
-            raise ValueError("density must be non-negative")
-
-    def mass(self) -> float:
-        return self.grid.integrate(self.values)
-
-
-@dataclass
 class TransportResult:
-    densities: list[ClassicalDensity]
+    densities: list[RealField]
     action: TransportedAction
     min_jacobian: float
 
 
-def transport_classical(density0: ClassicalDensity, action: ActionField,
+def transport_classical(density0: RealField, action: ActionField,
                         t_end: float, n_records: int = 9,
                         t_start: float = 0.0,
                         jacobian_floor: float = 1e-8) -> TransportResult:
     """Carry a 1D density and its action along classical characteristics.
 
+    The classical ensemble density is the quantum one's type: ``density0``
+    and every record are ``RealField``s of units "probability_density",
+    like ``fields.density(psi)``, and ``.integrate()`` gives their mass.
     Every action solves free HJ, so the characteristic from node q is the
     line x = q + v0 tau, with v0 = grad S(q, t_start) / m and
     tau = t - t_start, and it carries S = S0 + m v0^2 tau / 2. Its stretch
@@ -361,7 +345,8 @@ def transport_classical(density0: ClassicalDensity, action: ActionField,
         taus = taus[taus < tau_c]
         min_jac = jacobian_floor
 
-    densities = [ClassicalDensity(grid, density0.values.copy(), t_start)]
+    densities = [RealField(grid, density0.values, "probability_density",
+                           time=t_start)]
     rec_x, rec_s = [q_nodes.copy()], [s0]
     for tau in taus[1:]:
         x = q_nodes + v0 * tau
@@ -369,8 +354,8 @@ def transport_classical(density0: ClassicalDensity, action: ActionField,
         rho = np.zeros(grid.shape[0])
         rho[inside] = CubicSpline(x, density0.values / (1.0 + tau * d_jac))(
             q_nodes[inside])
-        densities.append(
-            ClassicalDensity(grid, np.maximum(rho, 0.0), t_start + tau))
+        densities.append(RealField(grid, np.maximum(rho, 0.0),
+                                   "probability_density", time=t_start + tau))
         rec_x.append(x)
         rec_s.append(s0 + 0.5 * action.mass * v0**2 * tau)
     result = TransportResult(

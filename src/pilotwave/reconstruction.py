@@ -34,25 +34,26 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass
 class Bundle:
-    """A center trajectory plus axis-aligned neighbor chains.
+    """A center trajectory plus axis-aligned neighbor chains, as arrays.
 
-    ``chains[a]`` lists the 2k+1 members offset along axis a at t = 0 by
-    -k*delta .. +k*delta (the center sits at index k and is shared between
-    chains). k = 0 encodes the bare single-trajectory case.
+    ``positions`` and ``velocities`` have shape (records, dim, 2k+1, dim):
+    chain a, ``[:, a]``, holds the 2k+1 members offset along axis a at
+    t = 0 by -k*delta .. +k*delta, and member k of every chain is the
+    center. k = 0 encodes the bare single-trajectory case. ``velocities``
+    may be None; reconstruction then refuses the bundle.
     """
 
-    center: Trajectory
-    chains: list[list[Trajectory]]
+    times: np.ndarray
+    positions: np.ndarray
+    velocities: np.ndarray | None
     spacing: float
     k: int
 
     @property
-    def times(self) -> np.ndarray:
-        return self.center.times
-
-    def start_points(self) -> list[np.ndarray]:
-        """Distinct member start positions, chain by chain."""
-        return [np.array([m.positions[0] for m in chain]) for chain in self.chains]
+    def center(self) -> Trajectory:
+        v = self.velocities
+        return Trajectory(self.times, self.positions[:, 0, self.k],
+                          velocities=None if v is None else v[:, 0, self.k])
 
 
 def build_bundle(snapshots, x0, k: int, delta: float, dt_traj: float,
@@ -67,6 +68,7 @@ def _build_bundles(gf, x0, k: int, deltas, dt_traj: float) -> list[Bundle]:
 
     The center starts at x0 for every spacing, so it is integrated once and
     shared; after it come the 2k neighbors per axis of each spacing in turn.
+    Each bundle indexes its members out of the batch's arrays.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -86,16 +88,26 @@ def _build_bundles(gf, x0, k: int, deltas, dt_traj: float) -> list[Bundle]:
                              record_velocities=True)
     if np.any(res.status == 1):
         raise BundleCrossingError("a bundle member halted inside the window")
-    center, *members = res.trajectories
-    n = 2 * k
-    bundles = []
-    for i, delta in enumerate(deltas):
-        sides = [members[(i * dim + a) * n:(i * dim + a + 1) * n]
-                 for a in range(dim)]
-        chains = [side[:k] + [center] + side[k:] for side in sides]
-        bundles.append(Bundle(center=center, chains=chains,
-                              spacing=float(delta), k=int(k)))
-    return bundles
+    # batch index per (spacing, axis, slot); the center, 0, sits in slot k
+    sides = 1 + np.arange(len(deltas) * dim * 2 * k).reshape(
+        len(deltas), dim, 2 * k)
+    members = np.insert(sides, k, 0, axis=2)
+    return [Bundle(res.times, res.positions[:, idx], res.velocities[:, idx],
+                   float(delta), int(k))
+            for idx, delta in zip(members, deltas)]
+
+
+def _accumulate(times: np.ndarray, rate: np.ndarray, start) -> np.ndarray:
+    """start plus the trapezoid integral of ``rate`` along ``times``.
+
+    Records run along axis 0 of ``rate``; ``start`` broadcasts against one
+    record.
+    """
+    dt = np.diff(times).reshape((-1,) + (1,) * (rate.ndim - 1))
+    out = np.empty(rate.shape)
+    out[0] = start
+    out[1:] = start + np.cumsum(0.5 * dt * (rate[:-1] + rate[1:]), axis=0)
+    return out
 
 
 def _nonuniform_first(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -149,32 +161,19 @@ def reconstruct_along_center(bundle: Bundle, potential: Potential,
             f"bundle half-width k = {bundle.k} cannot form the transverse "
             "second-derivative stencil (need k >= 2)"
         )
-    dim = len(bundle.chains)
-    times = bundle.times
-    n_t = len(times)
-    m = 2 * bundle.k + 1
+    dim = bundle.positions.shape[1]
     kc = bundle.k  # center column
-
-    r0_arrays = [np.asarray(r0(pts), dtype=float)
-                 for pts in bundle.start_points()]
-
     # per chain: coordinate along its axis and velocity component along it
-    X = []
-    V_axis = []
-    for a, chain in enumerate(bundle.chains):
-        xa = np.stack([t.positions[:, a] for t in chain], axis=1)   # (T, M)
-        if np.any(np.diff(xa, axis=1) <= 0):
+    X = [bundle.positions[:, a, :, a] for a in range(dim)]       # (T, M)
+    for a in range(dim):
+        if np.any(np.diff(X[a], axis=1) <= 0):
             raise BundleCrossingError(
                 f"chain ordering along axis {a} broke during the window"
             )
-        if any(t.velocities is None for t in chain):
-            raise ValueError("bundle members must carry recorded velocities")
-        va = np.stack([t.velocities[:, a] for t in chain], axis=1)  # (T, M)
-        X.append(xa)
-        V_axis.append(va)
-
-    dv_own = [_nonuniform_first(X[a], V_axis[a]) for a in range(dim)]
-    center_div_terms = [dv_own[a][:, kc] for a in range(dim)]
+    if bundle.velocities is None:
+        raise ValueError("bundle members must carry recorded velocities")
+    dv_own = [_nonuniform_first(X[a], bundle.velocities[:, a, :, a])
+              for a in range(dim)]
 
     # transport ln R along every member; off-axis divergence taken at center
     ln_r = []
@@ -182,51 +181,37 @@ def reconstruct_along_center(bundle: Bundle, potential: Potential,
         div_a = dv_own[a].copy()
         for b in range(dim):
             if b != a:
-                div_a += center_div_terms[b][:, None]
-        rhs = -0.5 * div_a
-        ln = np.empty((n_t, m))
-        ln[0] = np.log(r0_arrays[a])
-        dt_seg = np.diff(times)
-        incr = 0.5 * dt_seg[:, None] * (rhs[:-1] + rhs[1:])
-        ln[1:] = ln[0] + np.cumsum(incr, axis=0)
-        ln_r.append(ln)
+                div_a += dv_own[b][:, kc, None]
+        ln_r0 = np.log(np.asarray(r0(bundle.positions[0, a]), dtype=float))
+        ln_r.append(_accumulate(bundle.times, -0.5 * div_a, ln_r0))
 
     r_center = np.exp(ln_r[0][:, kc])
-    lap_r = np.zeros(n_t)
+    lap_r = np.zeros(len(bundle.times))
     for a in range(dim):
         lap_r += _nonuniform_second_at(X[a], np.exp(ln_r[a]), kc)
     u_curv = -(hbar**2) / (2.0 * mass) * lap_r / r_center
 
-    v_c = bundle.center.velocities
-    kin = 0.5 * mass * np.sum(v_c**2, axis=1)
-    v_pot = potential.at(bundle.center.positions)
-    ds_dt = kin - v_pot - u_curv
-    s = np.empty(n_t)
-    s[0] = s0
-    dt_seg = np.diff(times)
-    s[1:] = s0 + np.cumsum(0.5 * dt_seg * (ds_dt[:-1] + ds_dt[1:]))
-    return ReconstructionResult(times=times, action=s, amplitude=r_center,
-                                curvature_potential=u_curv)
+    center = bundle.center
+    kin = 0.5 * mass * np.sum(center.velocities**2, axis=1)
+    ds_dt = kin - potential.at(center.positions) - u_curv
+    return ReconstructionResult(times=bundle.times,
+                                action=_accumulate(bundle.times, ds_dt, s0),
+                                amplitude=r_center, curvature_potential=u_curv)
 
 
 def classical_reconstruct(traj: Trajectory, mass: float = 1.0,
                           s0: float = 0.0):
     """Action along a free classical path: S(0) plus the integral of m v^2 / 2.
 
-    One trajectory suffices -- no transverse information enters. Velocities
-    are taken from the trajectory record (finite differences of positions
-    as a fallback).
+    One trajectory suffices -- no transverse information enters. The
+    velocities are the trajectory's recorded ones, which
+    ``classical_trajectory`` keeps; a path without them raises ValueError,
+    as a bundle without them does.
     """
-    if traj.velocities is not None:
-        v = traj.velocities
-    else:
-        v = np.gradient(traj.positions, traj.times, axis=0)
-    lagr = 0.5 * mass * np.sum(v**2, axis=1)
-    s = np.empty(len(traj.times))
-    s[0] = s0
-    dt_seg = np.diff(traj.times)
-    s[1:] = s0 + np.cumsum(0.5 * dt_seg * (lagr[:-1] + lagr[1:]))
-    return traj.times, s
+    if traj.velocities is None:
+        raise ValueError("the path must carry recorded velocities")
+    lagr = 0.5 * mass * np.sum(traj.velocities**2, axis=1)
+    return traj.times, _accumulate(traj.times, lagr, s0)
 
 
 def polar_along_trajectory(snapshots, traj: Trajectory, hbar: float = 1.0):

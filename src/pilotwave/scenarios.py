@@ -459,7 +459,8 @@ def _run_reconstruction(cfg, out):
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
 
     center = Trajectory(gf.times[:1], [bcfg["x0"]])  # k = 0 reads no path
-    single = Bundle(center, [[center]], bcfg["deltas"][-1], k=0)
+    single = Bundle(center.times, center.positions[:, None, None], None,
+                    bcfg["deltas"][-1], k=0)
     try:
         reconstruct_along_center(single, pot, mass, hbar, 0.0,
                                  lambda pts: np.ones(len(pts)))

@@ -42,23 +42,28 @@ from .operators import fftn, ifftn, spectral_gradient
 
 
 class Potential:
-    """Time-independent external potential; subclasses provide values on a grid."""
+    """Time-independent external potential V(q).
 
-    def as_field(self, grid: SpatialGrid) -> np.ndarray:
-        raise NotImplementedError
+    ``at(points)`` is the formula: points of shape (N, dim), or one point
+    of shape (dim,), give one value each. ``as_field(grid)`` evaluates it
+    at the grid's nodes, so a subclass defines ``at`` alone.
+    """
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        """Pointwise evaluation at arbitrary positions (for trajectory work)."""
         raise NotImplementedError
+
+    def as_field(self, grid: SpatialGrid) -> np.ndarray:
+        nodes = np.stack([c.ravel() for c in grid.coordinates()], axis=1)
+        return self.at(nodes).reshape(grid.shape)
 
 
 class FreePotential(Potential):
-    def as_field(self, grid):
-        return np.zeros(grid.shape)
-
     def at(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] if x.ndim > 1 else x.shape[:1] or (1,))
+        return np.zeros(np.atleast_2d(x).shape[0])
+
+    def as_field(self, grid):
+        # every propagate reads this; zeros skip building the nodes
+        return np.zeros(grid.shape)
 
 
 class HarmonicPotential(Potential):
@@ -70,12 +75,6 @@ class HarmonicPotential(Potential):
         self.omega = float(omega)
         self.mass = float(mass)
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
-
-    def as_field(self, grid):
-        coords = grid.coordinates()
-        center = np.broadcast_to(self.center, (grid.dim,))
-        r2 = sum((coords[a] - center[a]) ** 2 for a in range(grid.dim))
-        return 0.5 * self.mass * self.omega**2 * r2
 
     def at(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))

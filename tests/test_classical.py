@@ -4,7 +4,6 @@ import pytest
 import pilotwave as pw
 from pilotwave.classical import (
     CircularAction,
-    ClassicalDensity,
     ClassicalState,
     PlaneWaveAction,
 )
@@ -88,7 +87,7 @@ def gaussian_density():
     g = pw.SpatialGrid(1024, (-20.0, 20.0))
     q = g.axes[0]
     rho = np.exp(-(q**2) / 2.0) / np.sqrt(2.0 * np.pi)
-    return ClassicalDensity(g, rho)
+    return pw.RealField(g, rho, "probability_density")
 
 
 def test_transport_rigid_translation(gaussian_density):
@@ -99,19 +98,20 @@ def test_transport_rigid_translation(gaussian_density):
     oracle = np.exp(-((q - 4.0) ** 2) / 2.0) / np.sqrt(2.0 * np.pi)
     assert np.max(np.abs(res.densities[-1].values - oracle)) < 1e-6
     for d in res.densities:
-        assert abs(d.mass() - 1.0) < 1e-6
+        assert abs(d.integrate() - 1.0) < 1e-6
 
 
 def test_transport_self_similar_dilation(gaussian_density):
     res = pw.transport_classical(
-        ClassicalDensity(gaussian_density.grid, gaussian_density.values, 0.5),
+        pw.RealField(gaussian_density.grid, gaussian_density.values,
+                     "probability_density", time=0.5),
         CircularAction([0.0], 1.0), t_end=1.0, n_records=3, t_start=0.5)
     g = gaussian_density.grid
     q = g.axes[0]
     # q -> 2q dilation: width doubles, amplitude halves
     oracle = np.exp(-((q / 2.0) ** 2) / 2.0) / np.sqrt(2.0 * np.pi) / 2.0
     assert np.max(np.abs(res.densities[-1].values - oracle)) < 1e-6
-    assert abs(res.densities[-1].mass() - 1.0) < 1e-6
+    assert abs(res.densities[-1].integrate() - 1.0) < 1e-6
 
 
 def test_transport_zero_time_identity(gaussian_density):
@@ -283,5 +283,5 @@ def test_transport_is_1d_only():
     g2 = pw.SpatialGrid((32, 32), ((-5.0, 5.0), (-5.0, 5.0)))
     rho = np.full(g2.shape, 1.0 / 100.0)
     with pytest.raises(NotImplementedError):
-        pw.transport_classical(ClassicalDensity(g2, rho),
+        pw.transport_classical(pw.RealField(g2, rho, "probability_density"),
                                PlaneWaveAction([1.0, 0.0], 1.0), 1.0)

@@ -101,13 +101,17 @@ def test_sweep_batch_equals_one_bundle_per_spacing(gaussian_window, dim):
     for bundle, delta in zip(batch, deltas):
         alone = pw.build_bundle(gf, x0, 2, delta, 0.02)
         assert (bundle.spacing, bundle.k) == (alone.spacing, alone.k)
-        assert len(bundle.chains) == len(alone.chains) == dim
-        for chain, chain_alone in zip(bundle.chains, alone.chains):
-            assert len(chain) == len(chain_alone) == 5
-            for m, m_alone in zip(chain, chain_alone):
-                assert np.array_equal(m.times, m_alone.times)
-                assert np.array_equal(m.positions, m_alone.positions)
-                assert np.array_equal(m.velocities, m_alone.velocities)
+        assert bundle.positions.shape == (len(bundle.times), dim, 5, dim)
+        assert np.array_equal(bundle.times, alone.times)
+        assert np.array_equal(bundle.positions, alone.positions)
+        assert np.array_equal(bundle.velocities, alone.velocities)
+        # chain a spans axis a at t = 0 and shares the center, member k
+        for a in range(dim):
+            offsets = bundle.positions[0, a] - x0
+            assert np.allclose(offsets[:, a], delta * np.arange(-2, 3))
+            assert np.all(np.delete(offsets, a, axis=1) == 0.0)
+            assert np.array_equal(bundle.positions[:, a, 2],
+                                  bundle.center.positions)
 
 
 def test_bundle_convergence_integrates_once_and_reads_the_oracle_once(
@@ -184,16 +188,12 @@ def test_bundle_crossing_detected():
     times = np.linspace(0.0, 1.0, 11)
     k = 2
 
-    def fabricated(offset):
-        # members drift toward the center: ordering breaks mid-window
-        pos = offset * (1.0 - 1.5 * times)
-        return Trajectory(times, pos[:, None],
-                          velocities=np.full((len(times), 1), -1.5 * offset))
-
-    center = fabricated(0.0)
-    chain = [fabricated(o) for o in (-0.2, -0.1)] + [center] + \
-        [fabricated(o) for o in (0.1, 0.2)]
-    bundle = pw.Bundle(center=center, chains=[chain], spacing=0.1, k=k)
+    # members drift toward the center: ordering breaks mid-window
+    offsets = np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
+    pos = offsets * (1.0 - 1.5 * times[:, None])
+    vel = np.broadcast_to(-1.5 * offsets, pos.shape)
+    bundle = pw.Bundle(times, pos[:, None, :, None], vel[:, None, :, None],
+                       spacing=0.1, k=k)
     with pytest.raises(pw.BundleCrossingError):
         pw.reconstruct_along_center(bundle, pw.FreePotential(), 1.0, 1.0,
                                     0.0, lambda p: np.ones(len(p)))
@@ -205,11 +205,8 @@ def test_reconstruction_consumes_only_trajectory_data(gaussian_window):
     reading fields."""
     bundle = pw.build_bundle(gaussian_window, [0.5], k=2, delta=0.1,
                              dt_traj=0.01)
-    stripped_chains = [[Trajectory(m.times, m.positions) for m in chain]
-                       for chain in bundle.chains]
-    stripped = pw.Bundle(center=stripped_chains[0][bundle.k],
-                         chains=stripped_chains, spacing=bundle.spacing,
-                         k=bundle.k)
+    stripped = pw.Bundle(bundle.times, bundle.positions, None,
+                         spacing=bundle.spacing, k=bundle.k)
     with pytest.raises(ValueError):
         pw.reconstruct_along_center(stripped, pw.FreePotential(), 1.0, 1.0,
                                     0.0, lambda p: np.ones(len(p)))
@@ -255,3 +252,9 @@ def test_harmonic_coherent_state_convergence_triple():
                                  dt_traj=0.005)
     errs = [r.err_s for r in rows]
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_classical_reconstruct_refuses_a_path_without_velocities():
+    times = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="velocities"):
+        pw.classical_reconstruct(Trajectory(times, 2.0 * times), mass=1.0)
