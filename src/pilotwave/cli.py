@@ -4,7 +4,10 @@
     pilotwave check <config.yaml>   validate the config only
     pilotwave list                  show the scenario registry
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 invalid config.
+Exit codes: 0 all checks passed, 1 a check failed, 2 invalid config. A
+config that passes ``check`` but that the library refuses during the run
+(a ValueError, or a package error such as BundleCrossingError) also exits
+2, with one line on stderr.
 The environment variable PILOTWAVE_OUTPUT_ROOT prepends a root to relative
 output directories.
 """
@@ -12,7 +15,7 @@ output directories.
 import argparse
 import sys
 
-from .errors import ConfigError, ScenarioFailure
+from .errors import ConfigError, PilotwaveError, ScenarioFailure
 from .scenarios import list_scenarios, load_config, run_scenario, validate_config
 
 
@@ -51,10 +54,10 @@ def main(argv=None) -> int:
     except ScenarioFailure as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (PilotwaveError, ValueError) as exc:
         # the config passed validate_config; a library precondition
-        # rejected a value (e.g. bundle spacing below grid resolution)
-        print(f"config error: {exc}", file=sys.stderr)
+        # rejected a value (e.g. a bundle member halted at a node)
+        print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     for check in report["checks"]:
         flag = "PASS" if check["passed"] else "FAIL"

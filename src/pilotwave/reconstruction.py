@@ -12,11 +12,14 @@ estimating them takes a bundle of neighboring trajectories. A bundle of
 half-width k < 2 cannot form the transverse second-derivative stencil, so
 reconstruction fails by construction -- the single-trajectory case k = 0
 is the sharpest instance. The classical counterpart needs none of this:
-S along a classical path is just the accumulated Lagrangian.
+S along a classical path is just the accumulated Lagrangian. Both sides
+accumulate with one trapezoid rule; only the rate's source differs, one
+path's velocities or a bundle's transverse stencils.
 
-Everything here consumes trajectories and initial data only; no operation
-reads the propagated field. (Building bundles and oracle comparisons, which
-legitimately use the solver, live in separate helpers.)
+Reconstruction consumes trajectory arrays and initial data only; no
+operation reads the propagated field. (Building bundles, as arrays indexed
+out of one integrated batch, and oracle comparisons, which legitimately
+use the solver, live in separate helpers.)
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,12 @@ from scipy import ndimage
 from .errors import BundleCrossingError, InsufficientBundleError
 from .fields import to_polar
 from .schrodinger import Potential
-from .trajectories import Trajectory, _as_guiding_field, integrate_ensemble
+from .trajectories import (
+    Trajectory,
+    _as_guiding_field,
+    _check_time_step,
+    integrate_ensemble,
+)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -161,15 +169,13 @@ def reconstruct_along_center(bundle: Bundle, potential: Potential,
             f"bundle half-width k = {bundle.k} cannot form the transverse "
             "second-derivative stencil (need k >= 2)"
         )
-    dim = bundle.positions.shape[1]
-    kc = bundle.k  # center column
+    dim, kc = bundle.positions.shape[1], bundle.k  # kc: center column
     # per chain: coordinate along its axis and velocity component along it
     X = [bundle.positions[:, a, :, a] for a in range(dim)]       # (T, M)
     for a in range(dim):
         if np.any(np.diff(X[a], axis=1) <= 0):
             raise BundleCrossingError(
-                f"chain ordering along axis {a} broke during the window"
-            )
+                f"chain ordering along axis {a} broke during the window")
     if bundle.velocities is None:
         raise ValueError("bundle members must carry recorded velocities")
     dv_own = [_nonuniform_first(X[a], bundle.velocities[:, a, :, a])
@@ -243,8 +249,7 @@ def _relative_l2(rec: np.ndarray, oracle: np.ndarray) -> float:
     spread = float(np.max(oracle) - np.min(oracle))
     scale = spread if spread > 1e-12 * np.max(np.abs(oracle), initial=0.0) \
         else float(np.max(np.abs(oracle)))
-    if scale == 0.0:
-        scale = 1.0
+    scale = scale or 1.0
     return float(np.sqrt(np.mean((rec - oracle) ** 2)) / scale)
 
 
@@ -257,6 +262,32 @@ class ConvergenceRow:
     slope: float  # local slope vs previous row; nan for the first
 
 
+def check_sweep(grid, deltas, snapshot_times, dt_traj: float) -> None:
+    """Refuse, with ValueError, a bundle sweep the solver oracle cannot score.
+
+    The deltas must be strictly decreasing and grid-resolvable (delta >=
+    2 dx on every axis). dt_traj must put every record time of a path
+    across the snapshot window on a snapshot time, because the oracle
+    reads the nearest snapshot: on evenly spaced snapshots, a whole
+    multiple of their spacing.
+    """
+    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
+        raise ValueError("deltas must be strictly decreasing")
+    if any(d < 2.0 * float(np.min(grid.dx)) for d in deltas):
+        raise ValueError("every delta must satisfy delta >= 2 dx")
+    _check_time_step(dt_traj)
+    times = np.asarray(snapshot_times, dtype=float)
+    span = times[-1] - times[0]
+    steps = max(1, int(round(span / dt_traj))) if span > 0 else 0
+    # more records than snapshots cannot all land on one: build no more
+    records = np.linspace(times[0], times[-1], min(steps, len(times)) + 1)
+    tol = 1e-9 * np.min(np.diff(times), initial=np.inf)
+    near = np.minimum(np.searchsorted(times, records - tol), len(times) - 1)
+    if steps >= len(times) or np.any(np.abs(times[near] - records) > tol):
+        raise ValueError(f"dt_traj = {dt_traj} puts record times between "
+                         "snapshots; the oracle reads the nearest one")
+
+
 def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
                        mass: float = 1.0, hbar: float = 1.0,
                        dt_traj: float = 0.01) -> list[ConvergenceRow]:
@@ -266,29 +297,18 @@ def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
     shared center, and the solver's polar field is read along that center
     once; each spacing then only reconstructs (S, R) and is scored. Given a
     GuidingField, its mass, hbar and node gate are used and the oracle reads
-    the snapshots it was built from. All deltas must be grid-resolvable
-    (delta >= 2 dx), and dt_traj must put every record time of the center
-    path on a snapshot time, because the oracle reads the nearest snapshot.
+    the snapshots it was built from. ``check_sweep`` refuses the deltas and
+    dt_traj before any integration; a config's schema calls it too.
     """
     gf = _as_guiding_field(snapshots, mass, hbar)
     mass, hbar = gf.mass, gf.hbar
     deltas = list(deltas)
-    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be strictly decreasing")
-    min_dx = float(np.min(gf.grid.dx))
-    if any(d < 2.0 * min_dx for d in deltas):
-        raise ValueError("every delta must satisfy delta >= 2 dx")
+    check_sweep(gf.grid, deltas, gf.times, dt_traj)
     if not deltas:
         return []
 
     bundles = _build_bundles(gf, x0, k, deltas, dt_traj)
     center = bundles[0].center
-    tol = 1e-9 * np.min(np.diff(gf.times), initial=np.inf)
-    miss = np.abs(center.times[:, None] - gf.times).min(axis=1)
-    if np.any(miss > tol):
-        raise ValueError(f"dt_traj = {dt_traj} puts record times between "
-                         "snapshots; the oracle reads the nearest one")
-
     polar0 = to_polar(gf.snapshots[0], hbar=hbar)
 
     def at_start(field, points):
@@ -298,19 +318,14 @@ def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
     s0 = float(at_start(polar0.S, center.positions[:1])[0])
     s_oracle, r_oracle = polar_along_trajectory(gf.snapshots, center, hbar)
     rows = []
-    prev = None
     for bundle in bundles:
         rec = reconstruct_along_center(bundle, potential, mass, hbar, s0,
                                        lambda pts: at_start(polar0.R, pts))
         err_s = _relative_l2(rec.action, s_oracle)
-        err_r = _relative_l2(rec.amplitude, r_oracle)
-        if prev is None:
-            slope = float("nan")
-        else:
-            d_prev, e_prev = prev
-            slope = float(np.log(e_prev / max(err_s, 1e-300))
-                          / np.log(d_prev / bundle.spacing))
-        rows.append(ConvergenceRow(delta=bundle.spacing, k=int(k),
-                                   err_s=err_s, err_r=err_r, slope=slope))
-        prev = (bundle.spacing, err_s)
+        slope = float("nan") if not rows else float(
+            np.log(rows[-1].err_s / max(err_s, 1e-300))
+            / np.log(rows[-1].delta / bundle.spacing))
+        rows.append(ConvergenceRow(
+            delta=bundle.spacing, k=int(k), err_s=err_s,
+            err_r=_relative_l2(rec.amplitude, r_oracle), slope=slope))
     return rows

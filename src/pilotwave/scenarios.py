@@ -40,6 +40,7 @@ from .grid import SpatialGrid
 from .reconstruction import (
     Bundle,
     bundle_convergence,
+    check_sweep,
     classical_reconstruct,
     reconstruct_along_center,
 )
@@ -228,11 +229,22 @@ _ENSEMBLE = {"N": Key(int, check=_positive),
 _OUTPUT = {"directory": Key(str)}
 
 
-def _schema(**sections):
+def _scorable_sweep(cfg, path):
+    """``bundle_convergence``'s own check on the snapshot times the run
+    will emit: the bundle spacings at a dt_traj of one snapshot spacing
+    (whose records all land), then ``run.dt_traj``."""
+    run = cfg["run"]
+    times = run["dt"] * np.arange(0, _steps(run) + 1, run["snapshot_stride"])
+    args = (_build_grid(cfg), cfg["bundle"]["deltas"], times)
+    _refuse("bundle.deltas", check_sweep, *args, times[1] - times[0])
+    _refuse("run.dt_traj", check_sweep, *args, run["dt_traj"])
+
+
+def _schema(*rules, **sections):
     """A scenario schema: the shared ``scenario`` key first, ``output`` last,
-    and a ``state.momentum`` on the grid's lattice."""
+    a ``state.momentum`` on the grid's lattice, then ``rules``."""
     return Section({"scenario": Key(str), **sections, "output": _OUTPUT},
-                   _lattice_momentum)
+                   _lattice_momentum, *rules)
 
 
 def _build_grid(cfg):
@@ -591,6 +603,7 @@ REGISTRY = {
         "claim": "amplitude and action along a path need a neighborhood "
                  "bundle; one classical path reconstructs its own action",
         "schema": _schema(
+            _scorable_sweep,
             grid=_GRID,
             physics=_PHYSICS,
             state=_STATE_GAUSSIAN,

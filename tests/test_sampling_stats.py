@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 import pilotwave as pw
+from pilotwave.stats import grid_cdf_1d
 
 # Every distribution gate below runs at level 1e-6 per test statistic on a
 # fixed seed: an exact sampler fails one with probability at most 1e-6 per
@@ -153,3 +154,12 @@ def test_born_sampling_is_prefix_stable(grid1d, dim):
         head = pw.born_sample(psi, k, seed=5)
         assert head.shape == (k, dim)
         assert np.array_equal(head, full[:k]), k
+
+
+def test_grid_cdf_of_an_unnormalised_density_ends_at_one(grid1d):
+    """grid_cdf_1d normalises by the density's own total."""
+    rho = pw.density(pw.gaussian_packet(grid1d, 0.3, 1.2))
+    scaled = pw.RealField(grid1d, 3.5 * rho.values, "probability_density")
+    q, F = grid_cdf_1d(scaled)
+    assert F[0] == 0.0 and F[-1] == 1.0
+    assert np.allclose(F, grid_cdf_1d(rho)[1], rtol=0, atol=1e-14)

@@ -288,6 +288,17 @@ REFUSED = {
                                 lambda c: c["grid"].update(n=500)),
     "grid-extent-reversed": ("p2-divergence", "grid.qmax",
                              lambda c: c["grid"].update(qmax=-40.0)),
+    # the bundle rule calls reconstruction.check_sweep, bundle_convergence's
+    # own check, on the snapshot times the run emits
+    "bundle-deltas-not-decreasing": (
+        "reconstruction-bundle", "bundle.deltas",
+        lambda c: c["bundle"].update(deltas=[0.1, 0.2])),
+    "bundle-delta-below-two-dx": (
+        "reconstruction-bundle", "bundle.deltas",
+        lambda c: c["bundle"].update(deltas=[0.2, 0.1, 0.01])),
+    "bundle-records-between-snapshots": (
+        "reconstruction-bundle", "run.dt_traj",
+        lambda c: c["run"].update(dt_traj=0.0025)),
 }
 
 
@@ -386,3 +397,23 @@ def test_cli_run_refused_by_the_library_leaves_no_new_directory(
     assert out.exists() == existed
     if existed:
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, section, key, value, error", [
+    ("reconstruction-bundle", "bundle", "x0", 19.9, "BundleCrossingError"),
+    ("p2-divergence", "state", "q0", 31.0, "PreparationMismatchError"),
+])
+def test_cli_run_library_refusal_exit_two(tmp_path, capsys, name, section,
+                                          key, value, error):
+    """A package error raised while a valid config runs is a refused value:
+    one stderr line and exit 2, not a traceback and not the exit 1 of a
+    failed check."""
+    cfg = _edited(name, lambda c: c[section].update({key: value}))
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {error}:") and err.count("\n") == 1

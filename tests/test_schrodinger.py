@@ -186,6 +186,40 @@ def test_harmonic_potential_field_values(ho_grid):
     assert pot.at(np.array([[2.0]]))[0] == pytest.approx(24.0)
 
 
+_GRIDS = {1: pw.SpatialGrid(64, (-3.0, 5.0)),
+          2: pw.SpatialGrid((32, 64), ((-3.0, 5.0), (-4.0, 2.0)))}
+
+
+def _potentials(dim):
+    """One of each Potential subclass, the harmonic one off center and at
+    a mass other than 1."""
+    return [pw.FreePotential(),
+            pw.HarmonicPotential(1.3, mass=2.5, center=[0.4, -0.7][:dim])]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_as_field_is_at_on_the_grid_nodes(dim):
+    """``at`` is each potential's one formula: ``as_field`` has its bytes
+    at every node."""
+    grid = _GRIDS[dim]
+    nodes = np.stack([c.ravel() for c in grid.coordinates()], axis=1)
+    pots = _potentials(dim)
+    assert {type(p) for p in pots} == set(pw.Potential.__subclasses__())
+    for pot in pots:
+        field = pot.as_field(grid)
+        assert field.shape == grid.shape
+        assert field.tobytes() == pot.at(nodes).reshape(grid.shape).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_potentials_give_one_value_per_point(dim):
+    for pot in _potentials(dim):
+        assert pot.at(np.full((5, dim), 0.25)).shape == (5,)
+        one = pot.at(np.full(dim, 0.25))
+        assert one.shape == (1,)
+        assert one[0] == pot.at(np.full((1, dim), 0.25))[0]
+
+
 def test_double_slit_far_field_fringe_spacing():
     """Minima of the two-branch interference pattern repeat every
     2*pi*hbar*t/(m*separation) in the far field (minima sit at the phase

@@ -598,3 +598,34 @@ def test_last_stage_rounding_past_the_window_end_is_not_a_query_outside(
     ens = integrate_ensemble(gf, np.array([[0.5]]), gf.times[0], gf.times[-1],
                              span / n, record_velocities=True)
     assert ens.positions.shape == (n + 1, 1, 1)
+
+
+def test_axis_crossings_count_about_the_given_axis():
+    """Only a change of side of axis_value counts: member 0 crosses 3.0,
+    member 1 crosses 0.0 but not 3.0, member 2 stays above 3.0."""
+    times = np.array([0.0, 0.5, 1.0])
+    paths = np.array([[2.5, 2.9, 3.5], [-0.5, 0.2, 0.5], [3.5, 3.2, 3.4]])
+    ens = pw.EnsembleResult(times, paths.T[:, :, None], np.zeros(3, int),
+                            np.full(3, np.nan))
+    assert pw.count_axis_crossings(ens, 3.0) == 1
+    assert pw.count_axis_crossings(ens, 0.0) == 1
+
+
+def test_guided_velocity_is_hbar_k_over_the_mass(circle):
+    """A plane wave moves at hbar k / m, here at a mass and hbar other
+    than 1."""
+    psi = pw.plane_wave(circle, 3.0)
+    gf = GuidingField([psi], mass=2.5, hbar=0.5)
+    v, flags = gf.velocity(np.array([[0.3], [2.0], [4.4]]), 0.0)
+    assert not flags.any()
+    assert np.allclose(v, 0.5 * 3.0 / 2.5, rtol=1e-12)
+
+
+def test_ensemble_over_an_empty_window_returns_the_start(free_gaussian_run):
+    gf = GuidingField(free_gaussian_run)
+    x0 = np.array([[-0.5], [0.25], [1.0]])
+    t = float(gf.times[3])
+    ens = integrate_ensemble(gf, x0, t, t, 0.01)
+    assert ens.times.tolist() == [t]
+    assert np.array_equal(ens.positions[0], x0)
+    assert not ens.status.any()
