@@ -57,7 +57,6 @@ from .states import double_slit_state, gaussian_packet, representable_momentum
 from .stats import chi_square_gof, ks_statistic
 from .trajectories import (
     GuidingField,
-    Trajectory,
     count_axis_crossings,
     divergence_experiment,
     propagate_ensemble,
@@ -230,9 +229,8 @@ _OUTPUT = {"directory": Key(str)}
 
 
 def _scorable_sweep(cfg, path):
-    """``bundle_convergence``'s own check on the snapshot times the run
-    will emit: the bundle spacings at a dt_traj of one snapshot spacing
-    (whose records all land), then ``run.dt_traj``."""
+    """``check_sweep`` on the run's snapshot times: the spacings at one
+    record per snapshot (which always lands), then ``run.dt_traj``."""
     run = cfg["run"]
     times = run["dt"] * np.arange(0, _steps(run) + 1, run["snapshot_stride"])
     args = (_build_grid(cfg), cfg["bundle"]["deltas"], times)
@@ -470,8 +468,8 @@ def _run_reconstruction(cfg, out):
     errs = [r.err_s for r in rows]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
 
-    center = Trajectory(gf.times[:1], [bcfg["x0"]])  # k = 0 reads no path
-    single = Bundle(center.times, center.positions[:, None, None], None,
+    # k = 0 reads no path: the bare center, one record
+    single = Bundle(gf.times[:1], np.full((1, 1, 1, 1), bcfg["x0"]), None,
                     bcfg["deltas"][-1], k=0)
     try:
         reconstruct_along_center(single, pot, mass, hbar, 0.0,
