@@ -31,12 +31,9 @@ from .trajectories import (
 
 
 def _as_points(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if q.ndim == 0:
-        return q[None, None]
-    if q.ndim == 1:
-        return q[None, :]
-    return q
+    """Points (N, dim), or one point (dim,), as (N, dim): the convention of
+    ``Potential.at``."""
+    return np.atleast_2d(np.asarray(q, dtype=float))
 
 
 class ActionField:

@@ -169,13 +169,15 @@ def reconstruct_along_center(bundle: Bundle, potential: Potential,
             f"bundle half-width k = {bundle.k} cannot form the transverse "
             "second-derivative stencil (need k >= 2)"
         )
-    dim, kc = bundle.positions.shape[1], bundle.k  # kc: center column
+    dim = bundle.positions.shape[1]
+    kc = bundle.k  # center column
     # per chain: coordinate along its axis and velocity component along it
     X = [bundle.positions[:, a, :, a] for a in range(dim)]       # (T, M)
     for a in range(dim):
         if np.any(np.diff(X[a], axis=1) <= 0):
             raise BundleCrossingError(
-                f"chain ordering along axis {a} broke during the window")
+                f"chain ordering along axis {a} broke during the window"
+            )
     if bundle.velocities is None:
         raise ValueError("bundle members must carry recorded velocities")
     dv_own = [_nonuniform_first(X[a], bundle.velocities[:, a, :, a])
@@ -249,7 +251,8 @@ def _relative_l2(rec: np.ndarray, oracle: np.ndarray) -> float:
     spread = float(np.max(oracle) - np.min(oracle))
     scale = spread if spread > 1e-12 * np.max(np.abs(oracle), initial=0.0) \
         else float(np.max(np.abs(oracle)))
-    scale = scale or 1.0
+    if scale == 0.0:
+        scale = 1.0
     return float(np.sqrt(np.mean((rec - oracle) ** 2)) / scale)
 
 
@@ -268,8 +271,8 @@ def check_sweep(grid, deltas, snapshot_times, dt_traj: float) -> None:
     The deltas must be strictly decreasing and grid-resolvable (delta >=
     2 dx on every axis). dt_traj must put every record time of a path
     across the snapshot window on a snapshot time, because the oracle
-    reads the nearest snapshot: on evenly spaced snapshots, a whole
-    multiple of their spacing.
+    reads the nearest snapshot: on evenly spaced snapshots, its step count
+    divides the number of snapshot intervals.
     """
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
@@ -322,10 +325,10 @@ def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
         rec = reconstruct_along_center(bundle, potential, mass, hbar, s0,
                                        lambda pts: at_start(polar0.R, pts))
         err_s = _relative_l2(rec.action, s_oracle)
+        err_r = _relative_l2(rec.amplitude, r_oracle)
         slope = float("nan") if not rows else float(
             np.log(rows[-1].err_s / max(err_s, 1e-300))
             / np.log(rows[-1].delta / bundle.spacing))
-        rows.append(ConvergenceRow(
-            delta=bundle.spacing, k=int(k), err_s=err_s,
-            err_r=_relative_l2(rec.amplitude, r_oracle), slope=slope))
+        rows.append(ConvergenceRow(delta=bundle.spacing, k=int(k),
+                                   err_s=err_s, err_r=err_r, slope=slope))
     return rows
