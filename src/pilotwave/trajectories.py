@@ -10,14 +10,15 @@ WaveField snapshots only. Interpolation is cubic B-spline in space and
 cubic Hermite in time between snapshots (slopes from neighboring
 snapshots), which is the accuracy bottleneck of the integrator: RK4's
 O(dt^4) is easily finer than the interpolation error, so tightening
-dt_traj beyond the snapshot spacing buys little. Both are linear in the grid values, so a query blends the
-prefiltered spline coefficients of the nearby snapshots in time first and
-then interpolates once in space: one cubic interpolation per axis. The
-node gate reads |psi|^2 linearly only at the points whose grid cell it
-cannot certify as safely above the gate, so far from the nodes it costs a
-table lookup. The last blend is kept, because RK4 stages 2 and 3 query the
-same time. The field is defined only inside its snapshot window; a query
-outside it raises.
+dt_traj beyond the snapshot spacing buys little. Both are linear in the
+grid values, so a query blends the prefiltered spline coefficients of the
+nearby snapshots in time first and then interpolates once in space: one
+cubic interpolation per axis. The node gate reads |psi|^2 linearly only at
+the points whose grid cell it cannot certify as safely above the gate, so
+far from the nodes it costs a table lookup; the field stores no |psi|^2
+grid, and such a query squares its two snapshots' psi again. The last
+blend is kept, because RK4 stages 2 and 3 query the same time. The field
+is defined only inside its snapshot window; a query outside it raises.
 
 Positions are integrated in unwrapped coordinates (displacements
 accumulate; fields are evaluated at the periodic image), so trajectory
@@ -81,10 +82,12 @@ class GuidingField:
     combination of the corners of the point's cell in both snapshots. So a
     point whose cell corners all clear their gates in both, by a relative
     margin of 1e-12, is certified unflagged from a boolean grid per
-    snapshot of the cells that fail this ("unsafe"). Only the points in an
-    unsafe cell of either snapshot are interpolated, on a |psi|^2 grid
-    blended at most once per query time; every flag has the value the full
-    interpolation gives.
+    snapshot of the cells that fail this ("unsafe"). Per grid point and
+    snapshot the field keeps dim float64 coefficients and that bool, not
+    |psi|^2: only a query with points in an unsafe cell of either snapshot
+    recomputes |psi|^2 of snapshots k and k+1 from their values (one abs^2
+    each, about 0.15 ms at 256^2) and blends it, at most once per query
+    time; every flag has the value the full interpolation gives.
 
     The blend of the last query time is kept for the next query; the field
     is not changed after construction, so that one entry never goes stale.
@@ -110,7 +113,6 @@ class GuidingField:
         # per axis: the prefiltered velocity grids of all snapshots, stacked
         stack = (len(snapshots), *self.grid.shape)
         self._v_coef = [np.empty(stack) for _ in range(self.grid.dim)]
-        self._rho = np.empty(stack)
         self._gate = np.empty(len(snapshots))
         self._unsafe = np.empty(stack, dtype=bool)
         for i, snap in enumerate(snapshots):
@@ -124,7 +126,6 @@ class GuidingField:
                                     floor_rho=0.01 * gate)
             for coef, va in zip(self._v_coef, v):
                 coef[i] = ndimage.spline_filter(va, order=3, mode="grid-wrap")
-            self._rho[i] = rho
             self._gate[i] = gate
             self._unsafe[i] = _cell_min(rho) <= gate * (1.0 + _CERT_MARGIN)
         self._cell_max = np.array(self.grid.shape, dtype=float)[:, None] - 1.0
@@ -166,8 +167,9 @@ class GuidingField:
         flags = np.zeros(coords.shape[1], dtype=bool)
         if todo.size:
             if blend.rho is None:
-                k, k1, s = blend.k, blend.k1, blend.s
-                blend.rho = (1 - s) * self._rho[k] + s * self._rho[k1]
+                rho_k, rho_k1 = (np.abs(self.snapshots[j].values) ** 2
+                                 for j in (blend.k, blend.k1))
+                blend.rho = (1 - blend.s) * rho_k + blend.s * rho_k1
             flags[todo] = ndimage.map_coordinates(
                 blend.rho, coords[:, todo], order=1,
                 mode="grid-wrap") < blend.gate
@@ -176,8 +178,8 @@ class GuidingField:
     def _blend(self, t: float) -> "_Blend":
         """The field at time t: coefficient grids per axis, cubic Hermite in
         time (slopes from neighboring snapshots, one-sided at the ends), and
-        the linear weights of snapshots k, k + 1 for rho and the gate. The
-        rho grid is blended only when a node flag needs it."""
+        the linear weights of snapshots k, k + 1 for rho and the gate. Rho is
+        blended only when a node flag needs it, or set for one snapshot."""
         times = self.times
         if not times[0] <= t <= times[-1]:
             raise ValueError(f"query time {t!r} outside the snapshot window "
@@ -185,7 +187,7 @@ class GuidingField:
         m = len(times)
         if m == 1:
             return _Blend(t, [c[0] for c in self._v_coef], 0, 0, 0.0,
-                          self._gate[0], self._rho[0])
+                          self._gate[0], np.abs(self.snapshots[0].values) ** 2)
         k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), m - 2)
         h = times[k + 1] - times[k]
         s = (t - times[k]) / h

@@ -114,16 +114,22 @@ def _bracket(gf, t):
     return k, k + 1, (t - times[k]) / (times[k + 1] - times[k])
 
 
+def _snapshot_rho(gf, j):
+    """|psi|^2 of the field's snapshot j, from the snapshot's own values
+    (the field keeps no rho grid)."""
+    return np.abs(gf.snapshots[j].values) ** 2
+
+
 def full_node_flags(gf, x, t):
-    """Reference for the node flags of ``GuidingField.velocity``: the rho
-    grid blended linearly in time, interpolated linearly at every point
-    and compared with the blended gate, with no certificate."""
+    """Reference for the node flags of ``GuidingField.velocity``: the
+    snapshots' |psi|^2 blended linearly in time, interpolated linearly at
+    every point and compared with the blended gate, with no certificate."""
     coords = gf.grid.to_fractional_index(np.atleast_2d(x)).T
     k, k1, s = _bracket(gf, t)
     if k == k1:
-        rho, gate = gf._rho[k], gf._gate[k]
+        rho, gate = _snapshot_rho(gf, k), gf._gate[k]
     else:
-        rho = (1 - s) * gf._rho[k] + s * gf._rho[k1]
+        rho = (1 - s) * _snapshot_rho(gf, k) + s * _snapshot_rho(gf, k1)
         gate = (1 - s) * gf._gate[k] + s * gf._gate[k1]
     return ndimage.map_coordinates(rho, coords, order=1,
                                    mode="grid-wrap") < gate
@@ -132,21 +138,23 @@ def full_node_flags(gf, x, t):
 def certified_points(gf, x, t, margin=1e-12):
     """Reference for the safe-cell certificate of ``GuidingField``'s node
     gate: a point is certified when every corner of its cell clears the
-    gate of both snapshots around t by the relative margin. Corners are
-    listed one by one and wrapped with a modulo; a fractional index of
-    exactly n lies in cell n - 1, and NaN points are never certified."""
+    gate of both snapshots around t by the relative margin, with |psi|^2
+    read from the snapshots' values. Corners are listed one by one and
+    wrapped with a modulo; a fractional index of exactly n lies in cell
+    n - 1, and NaN points are never certified."""
     coords = gf.grid.to_fractional_index(np.atleast_2d(x)).T
     shape = np.array(gf.grid.shape)
     nan = np.isnan(coords)
     top = (shape - 1)[:, None]
     base = np.floor(np.where(nan | (coords > top), top, coords)).astype(int)
     k, k1, _ = _bracket(gf, t)
+    rho = {j: _snapshot_rho(gf, j) for j in (k, k1)}
     ok = ~nan.any(axis=0)
     for offset in itertools.product((0, 1), repeat=gf.grid.dim):
         corner = tuple((base[a] + offset[a]) % shape[a]
                        for a in range(gf.grid.dim))
         for j in (k, k1):
-            ok &= gf._rho[j][corner] > gf._gate[j] * (1.0 + margin)
+            ok &= rho[j][corner] > gf._gate[j] * (1.0 + margin)
     return ok
 
 
@@ -154,8 +162,8 @@ def per_snapshot_hermite_velocity(gf, x, t):
     """Reference for ``GuidingField.velocity``: interpolate every snapshot
     in reach of t on its own, then blend the interpolated values in time.
 
-    Reads the field's per-snapshot prefiltered velocity grids, rho grids
-    and gates. Velocity is cubic Hermite in time with slopes from the
+    Reads the field's per-snapshot prefiltered velocity grids and gates,
+    and |psi|^2 from its snapshots' values. Velocity is cubic Hermite in time with slopes from the
     neighboring snapshots (one-sided at the ends); rho and the gate are
     linear. Returns (v (N, dim), flags (N,)).
     """
@@ -169,7 +177,7 @@ def per_snapshot_hermite_velocity(gf, x, t):
         ], axis=-1)
 
     def rho_at(j):
-        return ndimage.map_coordinates(gf._rho[j], coords, order=1,
+        return ndimage.map_coordinates(_snapshot_rho(gf, j), coords, order=1,
                                        mode="grid-wrap")
 
     times = gf.times
