@@ -163,9 +163,9 @@ def per_snapshot_hermite_velocity(gf, x, t):
     in reach of t on its own, then blend the interpolated values in time.
 
     Reads the field's per-snapshot prefiltered velocity grids and gates,
-    and |psi|^2 from its snapshots' values. Velocity is cubic Hermite in time with slopes from the
-    neighboring snapshots (one-sided at the ends); rho and the gate are
-    linear. Returns (v (N, dim), flags (N,)).
+    and |psi|^2 from its snapshots' values. Velocity is cubic Hermite in
+    time with slopes from the neighboring snapshots (one-sided at the
+    ends); rho and the gate are linear. Returns (v (N, dim), flags (N,)).
     """
     coords = gf.grid.to_fractional_index(np.atleast_2d(x)).T
 

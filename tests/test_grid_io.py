@@ -140,3 +140,18 @@ def test_dump_header_format(tmp_path):
     pwio.dump_wave_field(path, psi)
     header = path.read_text().splitlines()[0]
     assert header == "# grid dim=1 n=32 qmin=-2.5 qmax=2.5 t=0.25"
+
+
+@pytest.mark.parametrize("row", ["abc,0.5,0.25", "-2.5,0.5,0.25,0"],
+                         ids=["non_numeric_coordinate", "extra_column"])
+def test_wave_field_loader_refuses_a_malformed_row(tmp_path, row):
+    """A row whose coordinate is not a number, or that has one column too
+    many, is refused rather than read past."""
+    g = pw.SpatialGrid(16, (-2.5, 2.5))
+    path = tmp_path / "field.csv"
+    pwio.dump_wave_field(path, pw.WaveField(g, np.ones(16, dtype=complex)))
+    lines = path.read_text().splitlines()
+    lines[3] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        pwio.load_wave_field(path)

@@ -163,3 +163,14 @@ def test_grid_cdf_of_an_unnormalised_density_ends_at_one(grid1d):
     q, F = grid_cdf_1d(scaled)
     assert F[0] == 0.0 and F[-1] == 1.0
     assert np.allclose(F, grid_cdf_1d(rho)[1], rtol=0, atol=1e-14)
+
+
+def test_ks_statistic_reads_the_lower_side_of_the_ecdf():
+    """Against a uniform density on [0, 16) the sorted samples 0.8, 12.8,
+    13.6, 14.4 sit at CDF 0.05, 0.8, 0.85, 0.9: the largest gap is CDF
+    above the ECDF's lower step at the second sample, 0.8 - 1/4, while the
+    upper side reaches only 1/4 - 0.05."""
+    g = pw.SpatialGrid(16, (0.0, 16.0))
+    rho = pw.RealField(g, np.ones(16), "probability_density")
+    ks = pw.ks_statistic(np.array([13.6, 0.8, 14.4, 12.8]), rho)
+    assert ks == pytest.approx(0.55, rel=1e-14)

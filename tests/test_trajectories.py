@@ -629,3 +629,102 @@ def test_ensemble_over_an_empty_window_returns_the_start(free_gaussian_run):
     assert ens.times.tolist() == [t]
     assert np.array_equal(ens.positions[0], x0)
     assert not ens.status.any()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_field_keeps_coefficients_and_unsafe_cells_and_recomputes_rho(dim):
+    """Per grid point and snapshot a GuidingField owns dim float64 velocity
+    coefficients and one unsafe-cell bool, 8 dim + 1 bytes, besides its
+    O(m) times and gates; |psi|^2 comes from the snapshots. Where a blend
+    has points the certificate leaves open, the flags are those of the
+    full linear gate, on one snapshot (and through velocity_at) and four."""
+    snaps = _node_dense_snapshots(dim)
+    gf = GuidingField(snaps, node_eps=0.3)
+    m, size = len(snaps), snaps[0].values.size
+    owned = []
+    for name, value in vars(gf).items():
+        if name != "snapshots":
+            owned += value if isinstance(value, list) else [value]
+    arrays = [a for a in owned if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays if a.size >= size) == \
+        m * size * (8 * dim + 1)
+    assert sum(a.nbytes for a in arrays if a.size < size) <= 8 * (2 * m + dim)
+
+    one = GuidingField(snaps[:1], node_eps=0.3)
+    x = _gate_queries(gf, np.random.default_rng(5))
+    for field in (one, gf):
+        fallbacks = 0
+        for t in _query_times(field.times):
+            _, flags = field.velocity(x, t)
+            if certified_points(field, x, t).all():
+                continue
+            fallbacks += 1
+            assert np.array_equal(flags, full_node_flags(field, x, t))
+        assert fallbacks
+    t0 = snaps[0].time
+    _, flags = one.velocity(x, t0)
+    calm = x[~flags & ~certified_points(one, x, t0)]
+    assert len(calm) and flags.any()
+    assert np.array_equal(pw.velocity_at(snaps[0], calm, node_eps=0.3),
+                          one.velocity(calm, t0)[0])
+    with pytest.raises(pw.NodeProximityError):
+        pw.velocity_at(snaps[0], x[flags][:1], node_eps=0.3)
+
+
+def test_certificate_margin_leaves_a_corner_just_below_the_gate_open():
+    """A cell corner inside the 1e-12 relative margin is not certified, so
+    a query on a node whose |psi|^2 sits 5e-13 below the gate (0.5^2, with
+    max |psi| = 1) is flagged, and one 5e-13 above it is not."""
+    g = pw.SpatialGrid(16, (0.0, 16.0))
+    values = np.ones(16)
+    gate = 0.5 ** 2
+    values[5] = np.sqrt(gate * (1.0 - 5e-13))
+    values[10] = np.sqrt(gate * (1.0 + 5e-13))
+    gf = GuidingField([pw.WaveField(g, values)], node_eps=0.5)
+    x = np.array([[5.0], [10.0]])
+    _, flags = gf.velocity(x, 0.0)
+    assert flags.tolist() == [True, False]
+    assert np.array_equal(flags, full_node_flags(gf, x, 0.0))
+    assert not certified_points(gf, x, 0.0).any()
+
+
+def _relaxing_flow(x, t):
+    """Relaxation toward the middle of each 10-wide band, at rate 2, 4 or
+    0.5 (bands 0, 1, 2, repeating), plus a weak drive 0.01 t; flagged past
+    the middle. From below the middle, an RK4 step of rate * step > 1.3
+    overshoots it in its last stage, so over a step of 1 a member at rate
+    2 clears at dt/2, and one at rate 4 only at dt/4."""
+    band = np.floor(x[:, 0] / 10.0)
+    rate = np.array([2.0, 4.0, 0.5])[band.astype(int) % 3]
+    y = x - (10.0 * band + 5.0)[:, None]
+    return -rate[:, None] * y + 0.01 * t, y[:, 0] > 0.0
+
+
+def test_retries_are_rk4_steps_of_dt_over_2_and_dt_over_4():
+    """A flagged step is retried from its start as 2, then 4, RK4 substeps
+    at their own times: each member ends where hand-written RK4 at the
+    first resolution that raises no flag puts it."""
+    x0 = np.array([[4.0], [14.0], [24.0]])
+
+    def rk4(x, t, h, n):
+        flagged = False
+        for p in range(n):
+            s = t + p * h
+            k1, f1 = _relaxing_flow(x, s)
+            k2, f2 = _relaxing_flow(x + 0.5 * h * k1, s + 0.5 * h)
+            k3, f3 = _relaxing_flow(x + 0.5 * h * k2, s + 0.5 * h)
+            k4, f4 = _relaxing_flow(x + h * k3, s + h)
+            flagged |= bool((f1 | f2 | f3 | f4).any())
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return x, flagged
+
+    res = _integrate(_relaxing_flow, x0, 0.5, 1.5, 1.0)
+    assert not res.status.any()
+    for i, parts in enumerate((2, 4, 1)):
+        xi = x0[i:i + 1]
+        coarser = [rk4(xi, 0.5, 1.0 / n, n)[1] for n in (1, 2, 4) if n < parts]
+        assert all(coarser)
+        x_ref, flagged = rk4(xi, 0.5, 1.0 / parts, parts)
+        assert not flagged
+        assert np.allclose(res.positions[-1, i], x_ref[0], rtol=1e-15,
+                           atol=0.0)
