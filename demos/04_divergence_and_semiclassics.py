@@ -28,7 +28,8 @@ def main():
 
     snaps_a = pw.propagate(psi_a, pw.FreePotential(), cfg)
     snaps_b = pw.propagate(psi_b, pw.FreePotential(), cfg)
-    rep = pw.divergence_experiment(snaps_a, snaps_b, [1.0], 0.01)
+    rep = pw.divergence_experiment(pw.GuidingField(snaps_a),
+                                   pw.GuidingField(snaps_b), [1.0], 0.01)
     for i in range(0, len(rep.times), len(rep.times) // 8):
         print(f"   t = {rep.times[i]:4.2f}   |Q_A - Q_B| = "
               f"{rep.separation[i]:.5f}")

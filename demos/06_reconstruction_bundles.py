@@ -34,8 +34,9 @@ def main():
     psi0 = pw.gaussian_packet(grid, 0.0, 1.0)
     cfg = pw.PropagatorConfig(dt=5e-4, steps=2000, snapshot_stride=10)
     snaps = pw.propagate(psi0, pw.FreePotential(), cfg)
+    gf = pw.GuidingField(snaps)
 
-    single = pw.build_bundle(snaps, [0.5], k=0, delta=0.05, dt_traj=0.005)
+    single = pw.build_bundle(gf, [0.5], k=0, delta=0.05, dt_traj=0.005)
     try:
         pw.reconstruct_along_center(single, pw.FreePotential(), 1.0, 1.0,
                                     0.0, lambda p: np.ones(len(p)))
@@ -43,14 +44,14 @@ def main():
         print(f"   k=0 (bare trajectory): InsufficientBundleError: {exc}")
 
     print("\n   with neighbor bundles (k = 4), error vs spacing delta:")
-    rows = pw.bundle_convergence(snaps, [0.5], 4, [0.2, 0.1, 0.05],
+    rows = pw.bundle_convergence(gf, [0.5], 4, [0.2, 0.1, 0.05],
                                  pw.FreePotential(), dt_traj=0.005)
     print("   delta     errS        errR        local slope")
     for r in rows:
         slope = "    -" if np.isnan(r.slope) else f"{r.slope:8.2f}"
         print(f"   {r.delta:<8g}{r.err_s:<12.3e}{r.err_r:<12.3e}{slope}")
 
-    bundle = pw.build_bundle(snaps, [0.5], k=4, delta=0.05, dt_traj=0.005)
+    bundle = pw.build_bundle(gf, [0.5], k=4, delta=0.05, dt_traj=0.005)
     pol0 = pw.to_polar(snaps[0])
 
     def r0(points):

@@ -23,6 +23,7 @@ from .errors import (
 from .schrodinger import FreePotential, PropagatorConfig, propagate
 from .fields import RealField  # after .schrodinger: ~25 ms faster setup
 from .trajectories import (
+    GuidingField,
     Trajectory,
     _integrate,
     integrate_trajectory,
@@ -406,8 +407,8 @@ def semiclassical_compare(psi_family: dict[float, "WaveField"],
         cfg = PropagatorConfig(dt=dt, steps=int(round(t_end / dt)), hbar=hbar,
                                mass=mass, snapshot_stride=snapshot_stride)
         snaps = propagate(psi_family[hbar], FreePotential(), cfg)
-        traj = integrate_trajectory(snaps, classical_state.q0, dt_traj,
-                                    mass=mass, hbar=hbar)
+        traj = integrate_trajectory(GuidingField(snaps, mass=mass, hbar=hbar),
+                                    classical_state.q0, dt_traj)
         if traj.halted:
             raise ValueError(
                 f"guided trajectory halted at t = {traj.halt_time:g} for "

@@ -10,13 +10,18 @@ Two families are provided:
   regions where spectral differentiation would smear local defects over
   the whole box.
 
-Every transform in the package is ``scipy.fft`` on complex input, through
-``fftn`` / ``ifftn`` here. 1D input goes to ``scipy.fft.fft`` / ``ifft``,
-which skip the n-D argument handling and run the same transform; 2D input
-goes to ``scipy.fft.fftn`` / ``ifftn`` with the axes last first, as
-``numpy.fft.fftn`` runs them. Either way the output bytes equal numpy's.
-Real input is cast to complex first; scipy's real-input route gives
-different roundoff.
+Every transform in the package is ``scipy.fft`` on complex input, and it
+takes one of two routes, both here:
+
+* whole-field transforms go through ``fftn`` / ``ifftn``. 1D input goes to
+  ``scipy.fft.fft`` / ``ifft``, which skip the n-D argument handling and
+  run the same transform; 2D input goes to ``scipy.fft.fftn`` / ``ifftn``
+  with the axes last first, as ``numpy.fft.fftn`` runs them;
+* ``spectral_gradient`` transforms along its one axis only, calling
+  ``scipy.fft.fft`` / ``ifft`` with ``axis=`` directly.
+
+Either way the output bytes equal numpy's. Real input is cast to complex
+first; scipy's real-input route gives different roundoff.
 """
 
 import numpy as np

@@ -31,8 +31,8 @@ from .errors import BundleCrossingError, InsufficientBundleError
 from .fields import to_polar
 from .schrodinger import Potential
 from .trajectories import (
+    GuidingField,
     Trajectory,
-    _as_guiding_field,
     _check_time_step,
     integrate_ensemble,
 )
@@ -64,10 +64,10 @@ class Bundle:
                           velocities=None if v is None else v[:, 0, self.k])
 
 
-def build_bundle(snapshots, x0, k: int, delta: float, dt_traj: float,
-                 mass: float = 1.0, hbar: float = 1.0) -> Bundle:
-    """Integrate the center and its 2k-per-axis neighbors under one field."""
-    gf = _as_guiding_field(snapshots, mass, hbar)
+def build_bundle(gf: GuidingField, x0, k: int, delta: float,
+                 dt_traj: float) -> Bundle:
+    """Integrate the center and its 2k-per-axis neighbors under one field,
+    with its mass, hbar and node gate."""
     return _build_bundles(gf, x0, k, [delta], dt_traj)[0]
 
 
@@ -291,19 +291,18 @@ def check_sweep(grid, deltas, snapshot_times, dt_traj: float) -> None:
                          "snapshots; the oracle reads the nearest one")
 
 
-def bundle_convergence(snapshots, x0, k: int, deltas, potential: Potential,
-                       mass: float = 1.0, hbar: float = 1.0,
+def bundle_convergence(gf: GuidingField, x0, k: int, deltas,
+                       potential: Potential,
                        dt_traj: float = 0.01) -> list[ConvergenceRow]:
     """Reconstruction error against the solver oracle for decreasing delta.
 
     The bundles of all spacings are integrated as one batch around one
     shared center, and the solver's polar field is read along that center
-    once; each spacing then only reconstructs (S, R) and is scored. Given a
-    GuidingField, its mass, hbar and node gate are used and the oracle reads
-    the snapshots it was built from. ``check_sweep`` refuses the deltas and
+    once; each spacing then only reconstructs (S, R) and is scored. The
+    field's mass, hbar and node gate are used, and the oracle reads the
+    snapshots it was built from. ``check_sweep`` refuses the deltas and
     dt_traj before any integration; a config's schema calls it too.
     """
-    gf = _as_guiding_field(snapshots, mass, hbar)
     mass, hbar = gf.mass, gf.hbar
     deltas = list(deltas)
     check_sweep(gf.grid, deltas, gf.times, dt_traj)

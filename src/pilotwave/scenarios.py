@@ -361,8 +361,9 @@ def _run_p2_divergence(cfg, out):
     pcfg = _prop_config(cfg)
     snaps_a = propagate(psi_a, pot, pcfg)
     snaps_b = propagate(psi_b, pot, pcfg)
-    rep = divergence_experiment(snaps_a, snaps_b, [st["q0"]],
-                                cfg["run"]["dt_traj"], mass=mass, hbar=hbar)
+    rep = divergence_experiment(GuidingField(snaps_a, mass=mass, hbar=hbar),
+                                GuidingField(snaps_b, mass=mass, hbar=hbar),
+                                [st["q0"]], cfg["run"]["dt_traj"])
     # matched classical pair: each preparation reduces to the action-level
     # data (q0, grad S(q0)) measured from its own field; identical data,
     # identical motion

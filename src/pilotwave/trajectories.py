@@ -292,8 +292,7 @@ class EnsembleResult:
 
     ``positions`` has shape (records, N, dim), unwrapped; halted members
     are frozen at their halt position from the halt record onward. The
-    per-member view is available through ``trajectory(i)`` /
-    ``trajectories``.
+    per-member view is available through ``trajectory(i)``.
     """
 
     times: np.ndarray
@@ -334,10 +333,6 @@ class EnsembleResult:
             self.times, self.positions[:, i],
             velocities=None if self.velocities is None else self.velocities[:, i],
         )
-
-    @property
-    def trajectories(self) -> list[Trajectory]:
-        return [self.trajectory(i) for i in range(self.n)]
 
 
 def _rk4_step(f, x: np.ndarray, t: float, dt: float):
@@ -478,16 +473,9 @@ def integrate_ensemble(gf: GuidingField, x0: np.ndarray, t0: float, t1: float,
     return res
 
 
-def _as_guiding_field(snapshots, mass, hbar):
-    if isinstance(snapshots, GuidingField):
-        return snapshots
-    return GuidingField(snapshots, mass=mass, hbar=hbar)
-
-
-def integrate_trajectory(snapshots, x0, dt_traj: float, mass: float = 1.0,
-                         hbar: float = 1.0) -> Trajectory:
-    """Integrate a single guided trajectory through the snapshot window."""
-    gf = _as_guiding_field(snapshots, mass, hbar)
+def integrate_trajectory(gf: GuidingField, x0, dt_traj: float) -> Trajectory:
+    """Integrate a single guided trajectory through the field's snapshot
+    window, with the field's mass, hbar and node gate."""
     if len(gf.times) > 1:
         max_gap = float(np.max(np.diff(gf.times)))
         if dt_traj > max_gap * (1 + 1e-12):
@@ -502,8 +490,13 @@ def propagate_ensemble(snapshots, x0s: np.ndarray, dt_traj: float,
                        mass: float = 1.0, hbar: float = 1.0,
                        record_stride: int = 1, seed: int | None = None,
                        sampler: str = "explicit") -> EnsembleResult:
-    """Integrate all members of an ensemble through the snapshot window."""
-    gf = _as_guiding_field(snapshots, mass, hbar)
+    """Integrate all members of an ensemble through the snapshot window.
+
+    ``snapshots`` is a GuidingField, whose mass and hbar are used, or a
+    list of WaveField snapshots guided with ``mass`` and ``hbar``.
+    """
+    gf = snapshots if isinstance(snapshots, GuidingField) else GuidingField(
+        snapshots, mass=mass, hbar=hbar)
     return integrate_ensemble(gf, x0s, float(gf.times[0]), float(gf.times[-1]),
                               dt_traj, record_stride=record_stride, seed=seed,
                               sampler=sampler)
@@ -521,24 +514,22 @@ class DivergenceReport:
         return float(self.separation[-1])
 
 
-def divergence_experiment(snaps_a, snaps_b, q0, dt_traj: float,
-                          mass: float = 1.0,
-                          hbar: float = 1.0) -> DivergenceReport:
+def divergence_experiment(gf_a: GuidingField, gf_b: GuidingField, q0,
+                          dt_traj: float) -> DivergenceReport:
     """Separation of trajectories from one starting point under two
     preparations that share the initial phase gradient.
 
-    ``snaps_a`` / ``snaps_b`` are snapshot sequences from two propagation
-    runs whose initial states must satisfy |grad S_a - grad S_b| < 1e-8
-    at q0 (checked via m * velocity); PreparationMismatchError otherwise.
+    ``gf_a`` / ``gf_b`` guide with the fields of two propagation runs,
+    each with its own mass and hbar. Their initial states must satisfy
+    |grad S_a - grad S_b| < 1e-8 at q0, checked as |m_a v_a - m_b v_b|;
+    PreparationMismatchError otherwise.
     """
-    gf_a = _as_guiding_field(snaps_a, mass, hbar)
-    gf_b = _as_guiding_field(snaps_b, mass, hbar)
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     va, fa = gf_a.velocity(q0[None], gf_a.times[0])
     vb, fb = gf_b.velocity(q0[None], gf_b.times[0])
     if fa.any() or fb.any():
         raise PreparationMismatchError("q0 sits in a node gate of a preparation")
-    grad_gap = mass * float(np.linalg.norm(va[0] - vb[0]))
+    grad_gap = float(np.linalg.norm(gf_a.mass * va[0] - gf_b.mass * vb[0]))
     if grad_gap >= 1e-8:
         raise PreparationMismatchError(
             f"initial phase gradients differ by {grad_gap:.3e} >= 1e-8")

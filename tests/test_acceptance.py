@@ -120,7 +120,8 @@ def test_criterion_05_divergence_pair(grid1d):
     psi_b = pw.gaussian_packet(grid1d, 0.0, 2.0)
     snaps_a = pw.propagate(psi_a, pw.FreePotential(), cfg)
     snaps_b = pw.propagate(psi_b, pw.FreePotential(), cfg)
-    rep = pw.divergence_experiment(snaps_a, snaps_b, [1.0], 0.01)
+    rep = pw.divergence_experiment(pw.GuidingField(snaps_a),
+                                   pw.GuidingField(snaps_b), [1.0], 0.01)
     p0_a = pw.velocity_at(psi_a, [1.0])
     p0_b = pw.velocity_at(psi_b, [1.0])
     ca = pw.classical_trajectory(
@@ -207,7 +208,7 @@ def test_criterion_09_reconstruction_asymmetry(reconstruction_window):
     classical_err = float(np.max(np.abs(s_rec - s_line)))
 
     snaps = reconstruction_window
-    single = pw.build_bundle(snaps, [0.5], 0, 0.05, 0.005)
+    single = pw.build_bundle(pw.GuidingField(snaps), [0.5], 0, 0.05, 0.005)
     try:
         pw.reconstruct_along_center(single, pw.FreePotential(), 1.0, 1.0,
                                     0.0, lambda p: np.ones(len(p)))
@@ -215,7 +216,8 @@ def test_criterion_09_reconstruction_asymmetry(reconstruction_window):
     except pw.InsufficientBundleError:
         k0_refused = True
 
-    rows = pw.bundle_convergence(snaps, [0.5], 4, [0.2, 0.1, 0.05],
+    rows = pw.bundle_convergence(pw.GuidingField(snaps),
+                                 [0.5], 4, [0.2, 0.1, 0.05],
                                  pw.FreePotential(), dt_traj=0.005)
     errs = [r.err_s for r in rows]
     decreasing = errs[0] > errs[1] > errs[2]

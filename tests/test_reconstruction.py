@@ -39,7 +39,8 @@ def test_plane_wave_reconstruction_exact():
     psi = pw.plane_wave(g, 2.0)
     snaps = [pw.WaveField(psi.grid, psi.values, t)
              for t in np.linspace(0.0, 1.0, 21)]
-    bundle = pw.build_bundle(snaps, [0.5], k=2, delta=0.2, dt_traj=0.05)
+    bundle = pw.build_bundle(pw.GuidingField(snaps),
+                             [0.5], k=2, delta=0.2, dt_traj=0.05)
     rec = pw.reconstruct_along_center(bundle, pw.FreePotential(), 1.0, 1.0,
                                       s0=0.0,
                                       r0=lambda p: np.full(len(p),
@@ -52,7 +53,8 @@ def test_plane_wave_reconstruction_exact():
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_thin_bundle_refused(gaussian_window, k):
-    bundle = pw.build_bundle(gaussian_window, [0.5], k=k, delta=0.1,
+    bundle = pw.build_bundle(pw.GuidingField(gaussian_window),
+                             [0.5], k=k, delta=0.1,
                              dt_traj=0.01)
     with pytest.raises(pw.InsufficientBundleError):
         pw.reconstruct_along_center(bundle, pw.FreePotential(), 1.0, 1.0,
@@ -61,7 +63,8 @@ def test_thin_bundle_refused(gaussian_window, k):
 
 def test_free_gaussian_action_within_a_percent_of_range(gaussian_window):
     r0, s0 = _amplitude_seed(gaussian_window)
-    bundle = pw.build_bundle(gaussian_window, [0.5], k=4, delta=0.05,
+    bundle = pw.build_bundle(pw.GuidingField(gaussian_window),
+                             [0.5], k=4, delta=0.05,
                              dt_traj=0.005)
     rec = pw.reconstruct_along_center(bundle, pw.FreePotential(), 1.0, 1.0,
                                       s0(bundle.center.positions[0]), r0)
@@ -73,7 +76,8 @@ def test_free_gaussian_action_within_a_percent_of_range(gaussian_window):
 
 
 def test_bundle_convergence_strictly_decreasing(gaussian_window):
-    rows = pw.bundle_convergence(gaussian_window, [0.5], 4, [0.2, 0.1, 0.05],
+    rows = pw.bundle_convergence(pw.GuidingField(gaussian_window),
+                                 [0.5], 4, [0.2, 0.1, 0.05],
                                  pw.FreePotential(), dt_traj=0.005)
     errs = [r.err_s for r in rows]
     assert errs[0] > errs[1] > errs[2]
@@ -128,7 +132,8 @@ def test_bundle_convergence_integrates_once_and_reads_the_oracle_once(
 
     for name in counts:
         monkeypatch.setattr(reconstruction, name, counting(name))
-    pw.bundle_convergence(gaussian_window, [0.5], 4, [0.2, 0.1, 0.05],
+    pw.bundle_convergence(pw.GuidingField(gaussian_window),
+                          [0.5], 4, [0.2, 0.1, 0.05],
                           pw.FreePotential(), dt_traj=0.005)
     # one batch for all three spacings; the initial field plus one polar
     # decomposition per snapshot (201) for the shared center
@@ -136,20 +141,10 @@ def test_bundle_convergence_integrates_once_and_reads_the_oracle_once(
                       "to_polar": 1 + len(gaussian_window)}
 
 
-def test_bundle_convergence_accepts_a_guiding_field(gaussian_window):
-    args = ([0.5], 4, [0.2, 0.1], pw.FreePotential())
-    from_snaps = pw.bundle_convergence(gaussian_window, *args, dt_traj=0.005)
-    from_field = pw.bundle_convergence(pw.GuidingField(gaussian_window),
-                                       *args, dt_traj=0.005)
-    for a, b in zip(from_snaps, from_field, strict=True):
-        assert np.array_equal([a.delta, a.k, a.err_s, a.err_r, a.slope],
-                              [b.delta, b.k, b.err_s, b.err_r, b.slope],
-                              equal_nan=True)
-
-
 def test_bundle_convergence_rejects_subgrid_delta(gaussian_window):
     with pytest.raises(ValueError):
-        pw.bundle_convergence(gaussian_window, [0.5], 4, [0.1, 0.01],
+        pw.bundle_convergence(pw.GuidingField(gaussian_window),
+                              [0.5], 4, [0.1, 0.01],
                               pw.FreePotential(), dt_traj=0.005)
 
 
@@ -158,7 +153,8 @@ def test_bundle_convergence_rejects_records_between_snapshots(
     # snapshots every 0.005: a 0.0025 step puts every other record between
     # two snapshots, where the nearest-snapshot oracle reads the wrong field
     with pytest.raises(ValueError, match="dt_traj"):
-        pw.bundle_convergence(gaussian_window, [0.5], 4, [0.2, 0.1],
+        pw.bundle_convergence(pw.GuidingField(gaussian_window),
+                              [0.5], 4, [0.2, 0.1],
                               pw.FreePotential(), dt_traj=0.0025)
 
 
@@ -203,7 +199,8 @@ def test_reconstruction_consumes_only_trajectory_data(gaussian_window):
     """The op signature takes trajectories + boundary data; feeding it a
     bundle whose members lack velocities must fail rather than silently
     reading fields."""
-    bundle = pw.build_bundle(gaussian_window, [0.5], k=2, delta=0.1,
+    bundle = pw.build_bundle(pw.GuidingField(gaussian_window),
+                             [0.5], k=2, delta=0.1,
                              dt_traj=0.01)
     stripped = pw.Bundle(bundle.times, bundle.positions, None,
                          spacing=bundle.spacing, k=bundle.k)
@@ -217,7 +214,8 @@ def test_2d_plane_wave_reconstruction_exact():
     psi = pw.plane_wave(g, (2.0, 1.0))
     snaps = [pw.WaveField(psi.grid, psi.values, t)
              for t in np.linspace(0.0, 0.5, 11)]
-    bundle = pw.build_bundle(snaps, [0.5, 0.5], k=2, delta=0.2, dt_traj=0.05)
+    bundle = pw.build_bundle(pw.GuidingField(snaps),
+                             [0.5, 0.5], k=2, delta=0.2, dt_traj=0.05)
     norm = 1.0 / (2.0 * np.pi)
     rec = pw.reconstruct_along_center(bundle, pw.FreePotential(), 1.0, 1.0,
                                       s0=0.0,
@@ -232,7 +230,8 @@ def test_plane_wave_convergence_table_at_floor():
     psi = pw.plane_wave(g, 2.0)
     cfg = pw.PropagatorConfig(dt=0.01, steps=100, snapshot_stride=5)
     snaps = pw.propagate(psi, pw.FreePotential(), cfg)
-    rows = pw.bundle_convergence(snaps, [0.5], 2, [0.5, 0.4, 0.3],
+    rows = pw.bundle_convergence(pw.GuidingField(snaps),
+                                 [0.5], 2, [0.5, 0.4, 0.3],
                                  pw.FreePotential(), dt_traj=0.05)
     # uniform flow: every transverse derivative vanishes, so the error sits
     # at the oracle interpolation floor, independent of delta
@@ -248,7 +247,8 @@ def test_harmonic_coherent_state_convergence_triple():
     pot = pw.HarmonicPotential(1.0)
     cfg = pw.PropagatorConfig(dt=5e-4, steps=2000, snapshot_stride=10)
     snaps = pw.propagate(psi0, pot, cfg)
-    rows = pw.bundle_convergence(snaps, [2.5], 4, [0.2, 0.1, 0.05], pot,
+    rows = pw.bundle_convergence(pw.GuidingField(snaps),
+                                 [2.5], 4, [0.2, 0.1, 0.05], pot,
                                  dt_traj=0.005)
     errs = [r.err_s for r in rows]
     assert errs[0] > errs[1] > errs[2]

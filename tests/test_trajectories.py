@@ -97,7 +97,7 @@ def test_plane_wave_trajectory(circle):
     psi = pw.plane_wave(circle, 2.0)
     snaps = [pw.WaveField(psi.grid, psi.values, t)
              for t in np.linspace(0.0, 1.0, 11)]
-    traj = pw.integrate_trajectory(snaps, [0.5], 0.01)
+    traj = pw.integrate_trajectory(pw.GuidingField(snaps), [0.5], 0.01)
     assert abs(traj.positions[-1, 0] - 2.5) < 1e-8
     assert traj.status == "completed"
 
@@ -107,19 +107,21 @@ def test_stationary_state_static_trajectory():
     psi0 = pw.harmonic_ground_state(g)
     cfg = pw.PropagatorConfig(dt=1e-3, steps=500, snapshot_stride=50)
     snaps = pw.propagate(psi0, pw.HarmonicPotential(1.0), cfg)
-    traj = pw.integrate_trajectory(snaps, [0.7], 0.005)
+    traj = pw.integrate_trajectory(pw.GuidingField(snaps), [0.7], 0.005)
     assert np.max(np.abs(traj.positions - 0.7)) < 1e-6
 
 
 def test_free_gaussian_trajectory_scales_with_width(free_gaussian_run):
-    traj = pw.integrate_trajectory(free_gaussian_run, [1.0], 0.01)
+    traj = pw.integrate_trajectory(pw.GuidingField(free_gaussian_run),
+                                   [1.0], 0.01)
     expected = free_gaussian_trajectory(1.0, 2.0, 1.0)
     assert expected == pytest.approx(np.sqrt(2.0))
     assert abs(traj.positions[-1, 0] - expected) < 1e-3
 
 
 def test_trajectory_records_velocities(free_gaussian_run):
-    traj = pw.integrate_trajectory(free_gaussian_run, [1.0], 0.01)
+    traj = pw.integrate_trajectory(pw.GuidingField(free_gaussian_run),
+                                   [1.0], 0.01)
     assert traj.velocities is not None
     assert traj.velocities.shape == traj.positions.shape
     assert abs(traj.velocities[0, 0]) < 1e-10  # starts at rest
@@ -176,12 +178,12 @@ def test_global_phase_invariance(grid1d, rng):
     psi0 = pw.gaussian_packet(grid1d, 0.0, 1.0)
     cfg = pw.PropagatorConfig(dt=1e-3, steps=500, snapshot_stride=50)
     snaps = pw.propagate(psi0, pw.FreePotential(), cfg)
-    base = pw.integrate_trajectory(snaps, [1.0], 0.01)
+    base = pw.integrate_trajectory(pw.GuidingField(snaps), [1.0], 0.01)
     for _ in range(3):
         alpha = rng.uniform(0.0, 2.0 * np.pi)
         rotated = pw.WaveField(grid1d, psi0.values * np.exp(1j * alpha))
         snaps_r = pw.propagate(rotated, pw.FreePotential(), cfg)
-        traj_r = pw.integrate_trajectory(snaps_r, [1.0], 0.01)
+        traj_r = pw.integrate_trajectory(pw.GuidingField(snaps_r), [1.0], 0.01)
         assert np.max(np.abs(traj_r.positions - base.positions)) < 1e-10
 
 
@@ -206,7 +208,7 @@ def test_ensemble_equivariance_ks(free_gaussian_run):
 def test_empty_ensemble(free_gaussian_run):
     ens = pw.propagate_ensemble(free_gaussian_run, np.empty((0, 1)), 0.01)
     assert ens.n == 0
-    assert ens.trajectories == []
+    assert ens.positions.shape == (len(ens.times), 0, 1)
     assert ens.halted_fraction == 0.0
 
 
@@ -289,7 +291,8 @@ def test_divergence_experiment_widths(grid1d):
                            pw.FreePotential(), cfg)
     snaps_b = pw.propagate(pw.gaussian_packet(grid1d, 0.0, 2.0),
                            pw.FreePotential(), cfg)
-    rep = pw.divergence_experiment(snaps_a, snaps_b, [1.0], 0.01)
+    rep = pw.divergence_experiment(pw.GuidingField(snaps_a),
+                                   pw.GuidingField(snaps_b), [1.0], 0.01)
     assert rep.final_separation > 0.1
     # oracle: both trajectories scale with their own packet width
     expected = abs(free_gaussian_trajectory(1.0, 2.0, 1.0)
@@ -301,7 +304,8 @@ def test_divergence_identical_preparations(grid1d):
     cfg = pw.PropagatorConfig(dt=1e-3, steps=1000, snapshot_stride=20)
     snaps = pw.propagate(pw.gaussian_packet(grid1d, 0.0, 1.0),
                          pw.FreePotential(), cfg)
-    rep = pw.divergence_experiment(snaps, snaps, [1.0], 0.01)
+    rep = pw.divergence_experiment(pw.GuidingField(snaps),
+                                   pw.GuidingField(snaps), [1.0], 0.01)
     assert np.max(rep.separation) < 1e-12
 
 
@@ -311,7 +315,8 @@ def test_divergence_global_phase_pair(grid1d):
     cfg = pw.PropagatorConfig(dt=1e-3, steps=1000, snapshot_stride=20)
     snaps_a = pw.propagate(psi, pw.FreePotential(), cfg)
     snaps_b = pw.propagate(rotated, pw.FreePotential(), cfg)
-    rep = pw.divergence_experiment(snaps_a, snaps_b, [1.0], 0.01)
+    rep = pw.divergence_experiment(pw.GuidingField(snaps_a),
+                                   pw.GuidingField(snaps_b), [1.0], 0.01)
     assert np.max(rep.separation) < 1e-10
 
 
@@ -323,12 +328,30 @@ def test_divergence_rejects_mismatched_gradients(grid1d):
     snaps_b = pw.propagate(pw.gaussian_packet(grid1d, 0.0, 1.0, momentum=p),
                            pw.FreePotential(), cfg)
     with pytest.raises(pw.PreparationMismatchError):
-        pw.divergence_experiment(snaps_a, snaps_b, [0.5], 0.01)
+        pw.divergence_experiment(pw.GuidingField(snaps_a),
+                                 pw.GuidingField(snaps_b), [0.5], 0.01)
+
+
+def test_divergence_gates_the_gradient_gap_at_the_fields_mass(grid1d):
+    """grad S = m v: at mass 4 a 1.88e-8 gap in grad S is a 4.7e-9 gap in
+    v, so the 1e-8 gate must read the fields' mass to refuse the pair."""
+    mass = 4.0
+    psi_a = pw.gaussian_packet(grid1d, 0.0, 1.0)
+    q = grid1d.axes[0]
+    psi_b = pw.WaveField(grid1d, psi_a.values
+                         * np.exp(1j * 2e-8 * q * np.exp(-q**2 / 50.0)))
+    cfg = pw.PropagatorConfig(dt=0.01, steps=100, snapshot_stride=10,
+                              mass=mass)
+    gf_a, gf_b = (
+        pw.GuidingField(pw.propagate(psi, pw.FreePotential(), cfg), mass=mass)
+        for psi in (psi_a, psi_b))
+    with pytest.raises(pw.PreparationMismatchError, match="1.88"):
+        pw.divergence_experiment(gf_a, gf_b, [1.0], 0.01)
 
 
 def test_dt_traj_must_not_exceed_snapshot_spacing(free_gaussian_run):
     with pytest.raises(ValueError):
-        pw.integrate_trajectory(free_gaussian_run, [0.0], 1.0)
+        pw.integrate_trajectory(pw.GuidingField(free_gaussian_run), [0.0], 1.0)
 
 
 def test_2d_configuration_space_guidance():
@@ -340,7 +363,7 @@ def test_2d_configuration_space_guidance():
     assert np.allclose(v, [2.0, -1.0], atol=1e-9)
     snaps = [pw.WaveField(psi.grid, psi.values, t)
              for t in np.linspace(0.0, 1.0, 11)]
-    traj = pw.integrate_trajectory(snaps, [0.5, 0.5], 0.02)
+    traj = pw.integrate_trajectory(pw.GuidingField(snaps), [0.5, 0.5], 0.02)
     assert np.allclose(traj.positions[-1], [2.5, -0.5], atol=1e-8)
 
 
