@@ -18,7 +18,8 @@ takes one of two routes, both here:
   run the same transform; 2D input goes to ``scipy.fft.fftn`` / ``ifftn``
   with the axes last first, as ``numpy.fft.fftn`` runs them;
 * ``spectral_gradient`` transforms along its one axis only, calling
-  ``scipy.fft.fft`` / ``ifft`` with ``axis=`` directly.
+  ``scipy.fft.fft`` / ``ifft`` with ``axis=`` directly; the leading axes
+  of a stack of fields pass through, so the stack takes one call per axis.
 
 Either way the output bytes equal numpy's. Real input is cast to complex
 first; scipy's real-input route gives different roundoff.
@@ -30,6 +31,8 @@ import scipy.fft
 from .grid import SpatialGrid
 
 _TWO_PI = 2.0 * np.pi
+# complex128 bytes per stack (of at least one snapshot) in a field build
+STACK_BYTES = 128 * 1024
 
 
 def fftn(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
@@ -55,7 +58,8 @@ def ifftn(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
 
 
 def spectral_gradient(values: np.ndarray, grid: SpatialGrid, axis: int = 0) -> np.ndarray:
-    """Spectral derivative along one axis.
+    """Spectral derivative along grid axis ``axis``; leading axes of
+    ``values`` (a stack of fields) pass through.
 
     Real input returns a real array. The Nyquist mode is zeroed, the usual
     convention for odd-order spectral derivatives on even-length grids.
@@ -64,10 +68,9 @@ def spectral_gradient(values: np.ndarray, grid: SpatialGrid, axis: int = 0) -> n
     n = grid.shape[axis]
     ik = 1j * k
     ik[n // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[axis] = n
+    axis -= grid.dim
     spec = scipy.fft.fft(np.asarray(values, dtype=complex), axis=axis)
-    spec *= ik.reshape(shape)
+    spec *= ik.reshape((n,) + (1,) * (-1 - axis))
     out = scipy.fft.ifft(spec, axis=axis, overwrite_x=True)
     if not np.iscomplexobj(values):
         return out.real

@@ -42,7 +42,7 @@ from scipy import ndimage
 from .errors import NodeProximityError, PreparationMismatchError
 from .fields import WaveField
 from .grid import SpatialGrid
-from .operators import spectral_gradient
+from .operators import STACK_BYTES, spectral_gradient
 
 # relative margin by which every corner of a cell must clear the node gate
 # for the cell to be certified; far above the few-ulp roundoff of the
@@ -50,16 +50,16 @@ from .operators import spectral_gradient
 _CERT_MARGIN = 1e-12
 
 
-def wave_velocity_grids(psi: WaveField, rho: np.ndarray, mass: float,
-                        hbar: float, floor_rho: float) -> list[np.ndarray]:
-    """Guiding velocity on the grid via Im(grad psi / psi), zeroed where
-    rho = |psi|^2 lies below floor_rho."""
+def wave_velocity_grids(values: np.ndarray, grid: SpatialGrid, rho: np.ndarray,
+                        mass: float, hbar: float, floor_rho) -> list[np.ndarray]:
+    """Guiding velocity (hbar/m) Im(grad psi / psi) of one field's values or a
+    stack of them, zeroed where rho = |psi|^2 lies below floor_rho."""
     bad = rho < floor_rho
-    safe = np.where(bad, 1.0, psi.values)
     out = []
-    for a in range(psi.grid.dim):
-        dpsi = spectral_gradient(psi.values, psi.grid, axis=a)
-        v = (hbar / mass) * np.imag(dpsi / safe)
+    for a in range(grid.dim):
+        dpsi = spectral_gradient(values, grid, axis=a)
+        np.divide(dpsi, values, out=dpsi, where=~bad)
+        v = (hbar / mass) * dpsi.imag
         v[bad] = 0.0
         out.append(v)
     return out
@@ -87,7 +87,8 @@ class GuidingField:
     |psi|^2: only a query with points in an unsafe cell of either snapshot
     recomputes |psi|^2 of snapshots k and k+1 from their values (one abs^2
     each, about 0.15 ms at 256^2) and blends it, at most once per query
-    time; every flag has the value the full interpolation gives.
+    time; every flag has the value the full interpolation gives. A build
+    stacks ``STACK_BYTES`` of snapshots; what it keeps per point is unchanged.
 
     The blend of the last query time is kept for the next query; the field
     is not changed after construction, so that one entry never goes stale.
@@ -110,24 +111,31 @@ class GuidingField:
         if len(snapshots) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must be strictly increasing")
 
-        # per axis: the prefiltered velocity grids of all snapshots, stacked
-        stack = (len(snapshots), *self.grid.shape)
-        self._v_coef = [np.empty(stack) for _ in range(self.grid.dim)]
-        self._gate = np.empty(len(snapshots))
-        self._unsafe = np.empty(stack, dtype=bool)
-        for i, snap in enumerate(snapshots):
+        for snap in snapshots:
             if not isinstance(snap, WaveField):
                 raise TypeError("GuidingField takes WaveField snapshots, "
                                 f"not {type(snap).__name__}")
-            amp = np.abs(snap.values)
-            rho = amp**2
-            gate = (self.node_eps * float(np.max(amp))) ** 2
-            v = wave_velocity_grids(snap, rho, self.mass, self.hbar,
-                                    floor_rho=0.01 * gate)
+        # per axis: the prefiltered velocity grids of all snapshots, stacked
+        m, dim = len(snapshots), self.grid.dim
+        self._v_coef = [np.empty((m, *self.grid.shape)) for _ in range(dim)]
+        self._gate = np.empty(m)
+        self._unsafe = np.empty((m, *self.grid.shape), dtype=bool)
+        step = max(1, STACK_BYTES // (16 * self.grid.size))
+        for part in (slice(lo, lo + step) for lo in range(0, m, step)):
+            values = np.stack([s.values for s in self.snapshots[part]])
+            amp = np.abs(values)
+            # a Python float power (libm pow): numpy's square can differ
+            self._gate[part] = [(self.node_eps * float(a)) ** 2
+                                for a in amp.reshape(len(amp), -1).max(1)]
+            gate = self._gate[part].reshape((-1,) + (1,) * dim)
+            rho = np.square(amp, out=amp)
+            v = wave_velocity_grids(values, self.grid, rho, self.mass,
+                                    self.hbar, floor_rho=0.01 * gate)
             for coef, va in zip(self._v_coef, v):
-                coef[i] = ndimage.spline_filter(va, order=3, mode="grid-wrap")
-            self._gate[i] = gate
-            self._unsafe[i] = _cell_min(rho) <= gate * (1.0 + _CERT_MARGIN)
+                for a in range(1, dim + 1):
+                    va = ndimage.spline_filter1d(va, 3, a, output=coef[part],
+                                                 mode="grid-wrap")
+            self._unsafe[part] = _cell_min(rho) <= gate * (1.0 + _CERT_MARGIN)
         self._cell_max = np.array(self.grid.shape, dtype=float)[:, None] - 1.0
         self._last_blend = None
 
@@ -224,11 +232,11 @@ class _Blend:
 
 
 def _cell_min(rho: np.ndarray) -> np.ndarray:
-    """Minimum of rho over the 2**dim corners of each periodic cell, where
-    cell i spans grid indices i and i + 1 (wrapped) on every axis: one axis
-    at a time, as slice minima plus the wrapped edge."""
+    """Minimum of rho (snapshots along axis 0) over the 2**dim corners of
+    each periodic cell, where cell i spans grid indices i and i + 1 (wrapped)
+    on every grid axis: one axis at a time, as slice minima and the edge."""
     out = rho.copy()
-    for a in range(out.ndim):
+    for a in range(1, out.ndim):
         m = out.swapaxes(0, a)    # a view, without np.moveaxis's overhead
         edge = np.minimum(m[-1], m[0])
         np.minimum(m[:-1], m[1:], out=m[:-1])

@@ -1,10 +1,13 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 import pilotwave as pw
+from pilotwave.operators import STACK_BYTES
+from pilotwave.scenarios import load_config
 from pilotwave.trajectories import (
     GuidingField,
     _integrate,
@@ -402,8 +405,8 @@ def test_1d_polar_velocity_of_a_node_free_field_is_spectral(k):
     polar = pw.to_polar(psi)
     assert not polar.node_mask.any()
     (v,) = polar_velocity_grids(polar, 1.0)
-    (want,) = wave_velocity_grids(psi, np.abs(psi.values) ** 2, 1.0, 1.0,
-                                  floor_rho=0.0)
+    (want,) = wave_velocity_grids(psi.values, g, np.abs(psi.values) ** 2,
+                                  1.0, 1.0, floor_rho=0.0)
     assert np.max(np.abs(v - want)) < 1e-10 * np.max(np.abs(want))
 
 
@@ -692,6 +695,67 @@ def test_field_keeps_coefficients_and_unsafe_cells_and_recomputes_rho(dim):
                           one.velocity(calm, t0)[0])
     with pytest.raises(pw.NodeProximityError):
         pw.velocity_at(snaps[0], x[flags][:1], node_eps=0.3)
+
+
+def _stacked_snapshots(dim):
+    """Two crossing packets over three whole stacks of snapshots (as many
+    as fit in ``operators.STACK_BYTES`` of complex128) and part of a fourth."""
+    if dim == 1:
+        g = pw.SpatialGrid(512, (-5.0 * np.pi, 5.0 * np.pi))
+        a = pw.gaussian_packet(g, [-2.0], 1.0, momentum=[2.0])
+        b = pw.gaussian_packet(g, [2.0], 1.0, momentum=[-2.0])
+    else:
+        g = pw.SpatialGrid((64, 32), ((-4.0 * np.pi, 4.0 * np.pi),) * 2)
+        a = pw.gaussian_packet(g, [-1.5, 0.5], [1.0, 1.5], momentum=[1.5, 0.5])
+        b = pw.gaussian_packet(g, [1.5, -0.5], [1.2, 1.0], momentum=[-1.5, 0.0])
+    step = STACK_BYTES // (16 * g.size)
+    cfg = pw.PropagatorConfig(dt=2e-2, steps=3 * step + step // 2)
+    return pw.propagate(pw.superpose(a, b), pw.FreePotential(), cfg), step
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacks_change_no_byte(dim):
+    """A field built a stack of snapshots at a time holds, for each
+    snapshot, the bytes of the field built from that snapshot alone, and
+    each continuity residual is that of the snapshot with its two
+    neighbors alone: no snapshot is dropped or taken from the wrong
+    stack, the partial last one included."""
+    snaps, step = _stacked_snapshots(dim)
+    m = len(snaps)
+    assert m > 3 * step and m % step
+    gf = GuidingField(snaps, node_eps=0.05)
+    for i, snap in enumerate(snaps):
+        one = GuidingField([snap], node_eps=0.05)
+        for coef, coef_one in zip(gf._v_coef, one._v_coef):
+            assert coef[i].tobytes() == coef_one[0].tobytes()
+        assert gf._gate[i].tobytes() == one._gate[0].tobytes()
+        assert gf._unsafe[i].tobytes() == one._unsafe[0].tobytes()
+    assert gf._unsafe.any()
+    res = pw.continuity_residual(snaps)
+    for i in range(1, m - 1):
+        want = pw.continuity_residual(snaps[i - 1:i + 2])
+        assert res[i - 1].tobytes() == want[0].tobytes()
+
+
+def test_gate_is_a_python_float_power_per_snapshot():
+    """Each snapshot's gate is (node_eps * max|psi|) ** 2 as a Python float
+    power (libm pow). On the hbar = 0.25 field of the semiclassical sweep,
+    numpy's square of the stack of maxima differs from it in the last bit
+    on one of the 101 snapshots."""
+    cfg = load_config(Path(__file__).parent.parent / "configs"
+                      / "semiclassical-sweep.yaml")
+    g = pw.SpatialGrid(cfg["grid"]["n"], (cfg["grid"]["qmin"],
+                                          cfg["grid"]["qmax"]))
+    st, run = cfg["state"], cfg["run"]
+    psi0 = pw.gaussian_packet(g, st["center"], st["sigma"],
+                              momentum=st["momentum"], hbar=0.25)
+    snaps = pw.propagate(psi0, pw.FreePotential(), pw.PropagatorConfig(
+        dt=run["dt"], steps=int(round(run["T"] / run["dt"])), hbar=0.25,
+        snapshot_stride=run["snapshot_stride"]))
+    gf = GuidingField(snaps, hbar=0.25)
+    assert len(snaps) == 101
+    for i, s in enumerate(snaps):
+        assert gf._gate[i] == (gf.node_eps * float(np.max(np.abs(s.values)))) ** 2
 
 
 def test_certificate_margin_leaves_a_corner_just_below_the_gate_open():
