@@ -27,6 +27,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from bench_pairs import ROOT, SIDES, export
@@ -100,9 +101,7 @@ def main(argv=None):
     for name in names:
         p, c = (sides[s][0].get(name) for s in SIDES)
         files[name] = {"parent": p, "change": c, "verdict": verdict(p, c)}
-    counts = {}
-    for entry in files.values():
-        counts[entry["verdict"]] = counts.get(entry["verdict"], 0) + 1
+    counts = dict(Counter(entry["verdict"] for entry in files.values()))
     result = {
         "label": args.label,
         "parent": shas["parent"],
