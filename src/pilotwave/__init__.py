@@ -61,7 +61,6 @@ from .schrodinger import (
     PropagatorConfig,
     continuity_residual,
     expectation_energy,
-    probability_current,
     propagate,
 )
 from .states import (

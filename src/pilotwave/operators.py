@@ -35,6 +35,18 @@ _TWO_PI = 2.0 * np.pi
 STACK_BYTES = 128 * 1024
 
 
+def snapshot_stacks(snapshots, halo: int = 0):
+    """Yield ``(part, values)``: slices ``part`` that tile range(len(snapshots)
+    - halo) in order, each of ``STACK_BYTES`` of complex128 (at least one
+    snapshot; the last may be partial), and the stacked values of
+    ``snapshots[part]`` and of the ``halo`` snapshots after it."""
+    m = len(snapshots) - halo
+    step = max(1, STACK_BYTES // (16 * snapshots[0].grid.size))
+    for lo in range(0, m, step):
+        part = slice(lo, min(lo + step, m))
+        yield part, np.stack([s.values for s in snapshots[lo:part.stop + halo]])
+
+
 def fftn(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Complex n-dimensional DFT over all axes, last axis first.
 

@@ -315,8 +315,8 @@ def _run_equivariance(cfg, out):
         Check("ks_all_dump_times", worst_ks < 0.02, worst_ks, "< 0.02"),
         Check("norm_drift", abs(snaps[-1].norm() - 1.0) < 1e-10,
               abs(snaps[-1].norm() - 1.0), "< 1e-10"),
-        Check("edge_leak", edge_band_max(snaps[-1].values, grid, 0.10) < 1e-10,
-              edge_band_max(snaps[-1].values, grid, 0.10), "< 1e-10"),
+        Check("edge_leak", edge_band_max(snaps[-1].values, grid) < 1e-10,
+              edge_band_max(snaps[-1].values, grid), "< 1e-10"),
     ]
     pwio.dump_ensemble_stats(out / "ensemble_stats.csv", ks_rows)
     pwio.dump_trajectories(out / "trajectories.csv",

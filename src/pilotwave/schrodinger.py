@@ -38,7 +38,7 @@ import numpy as np
 from .errors import AliasingWarning, EdgeLeakWarning, StepSizeWarning
 from .fields import WaveField
 from .grid import SpatialGrid
-from .operators import STACK_BYTES, fftn, ifftn, spectral_gradient
+from .operators import fftn, ifftn, snapshot_stacks, spectral_gradient
 
 
 class Potential:
@@ -136,12 +136,12 @@ def _aliasing_fraction(spec: np.ndarray, tail: np.ndarray) -> float:
     return float(spec[tail].sum() / total)
 
 
-def edge_band_max(values: np.ndarray, grid: SpatialGrid, fraction: float) -> float:
-    """Largest |value| inside the per-axis edge bands (leak diagnostic)."""
+def edge_band_max(values: np.ndarray, grid: SpatialGrid) -> float:
+    """Largest |value| in the outer 10% of each axis (leak diagnostic)."""
     worst = 0.0
     for a in range(grid.dim):
         n = grid.shape[a]
-        band = max(1, int(np.floor(fraction * n)))
+        band = max(1, int(np.floor(0.10 * n)))
         mag = np.abs(values)
         lo = np.take(mag, range(band), axis=a)
         hi = np.take(mag, range(n - band, n), axis=a)
@@ -181,7 +181,7 @@ def propagate(psi0: WaveField, potential: Potential, cfg: PropagatorConfig) -> l
                 stacklevel=3,
             )
         if cfg.monitor_edges:
-            leak = edge_band_max(values, grid, 0.10)
+            leak = edge_band_max(values, grid)
             if leak > 1e-10:
                 warnings.warn(
                     f"|psi| reaches {leak:.3e} inside the edge bands at t={t:g}",
@@ -236,14 +236,9 @@ def expectation_energy(psi: WaveField, potential: Potential,
     return kinetic + pot
 
 
-def probability_current(psi: WaveField, mass: float = 1.0,
-                        hbar: float = 1.0) -> list[np.ndarray]:
-    """Current j_a = (hbar/m) Im(conj(psi) d_a psi), one array per axis."""
-    return _current(psi.values, psi.grid, mass, hbar)
-
-
 def _current(values, grid, mass, hbar):
-    """``probability_current`` of one field's values or a stack of them."""
+    """Current j_a = (hbar/m) Im(conj(psi) d_a psi) per axis, of one
+    field's values or a stack of them."""
     out = []
     for a in range(grid.dim):
         dpsi = spectral_gradient(values, grid, axis=a)
@@ -263,16 +258,13 @@ def continuity_residual(snapshots: list[WaveField], mass: float = 1.0,
     if len(snapshots) < 3:
         raise ValueError("need at least 3 consecutive snapshots")
     grid = snapshots[0].grid
-    m, step = len(snapshots) - 2, max(1, STACK_BYTES // (16 * grid.size))
-    residuals = np.empty(m)
-    for lo in range(0, m, step):
-        near = snapshots[lo:lo + step + 2]    # residuals lo .. lo + step - 1
-        values = np.stack([s.values for s in near])
+    t = np.array([s.time for s in snapshots])
+    dt = (t[2:] - t[:-2]).reshape((-1,) + (1,) * grid.dim)
+    residuals = np.empty(len(dt))
+    for part, values in snapshot_stacks(snapshots, halo=2):
         rho = np.abs(values) ** 2
-        t = np.array([s.time for s in near])
-        dt = (t[2:] - t[:-2]).reshape((-1,) + (1,) * grid.dim)
-        drho_dt = (rho[2:] - rho[:-2]) / dt
+        drho_dt = (rho[2:] - rho[:-2]) / dt[part]
         drho_dt += sum(spectral_gradient(j_a, grid, axis=a) for a, j_a
                        in enumerate(_current(values[1:-1], grid, mass, hbar)))
-        residuals[lo:lo + step] = np.abs(drho_dt).reshape(len(dt), -1).max(1)
+        residuals[part] = np.abs(drho_dt).reshape(len(rho) - 2, -1).max(1)
     return residuals

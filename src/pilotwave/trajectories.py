@@ -42,7 +42,7 @@ from scipy import ndimage
 from .errors import NodeProximityError, PreparationMismatchError
 from .fields import WaveField
 from .grid import SpatialGrid
-from .operators import STACK_BYTES, spectral_gradient
+from .operators import snapshot_stacks, spectral_gradient
 
 # relative margin by which every corner of a cell must clear the node gate
 # for the cell to be certified; far above the few-ulp roundoff of the
@@ -88,7 +88,7 @@ class GuidingField:
     recomputes |psi|^2 of snapshots k and k+1 from their values (one abs^2
     each, about 0.15 ms at 256^2) and blends it, at most once per query
     time; every flag has the value the full interpolation gives. A build
-    stacks ``STACK_BYTES`` of snapshots; what it keeps per point is unchanged.
+    reads ``snapshot_stacks``; what it keeps per point is unchanged.
 
     The blend of the last query time is kept for the next query; the field
     is not changed after construction, so that one entry never goes stale.
@@ -100,6 +100,10 @@ class GuidingField:
                  node_eps: float = 1e-6):
         if not snapshots:
             raise ValueError("need at least one snapshot")
+        for snap in snapshots:
+            if not isinstance(snap, WaveField):
+                raise TypeError("GuidingField takes WaveField snapshots, "
+                                f"not {type(snap).__name__}")
         self.grid: SpatialGrid = snapshots[0].grid
         if any(s.grid != self.grid for s in snapshots):
             raise ValueError("snapshots live on different grids")
@@ -111,18 +115,12 @@ class GuidingField:
         if len(snapshots) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must be strictly increasing")
 
-        for snap in snapshots:
-            if not isinstance(snap, WaveField):
-                raise TypeError("GuidingField takes WaveField snapshots, "
-                                f"not {type(snap).__name__}")
         # per axis: the prefiltered velocity grids of all snapshots, stacked
         m, dim = len(snapshots), self.grid.dim
         self._v_coef = [np.empty((m, *self.grid.shape)) for _ in range(dim)]
         self._gate = np.empty(m)
         self._unsafe = np.empty((m, *self.grid.shape), dtype=bool)
-        step = max(1, STACK_BYTES // (16 * self.grid.size))
-        for part in (slice(lo, lo + step) for lo in range(0, m, step)):
-            values = np.stack([s.values for s in self.snapshots[part]])
+        for part, values in snapshot_stacks(self.snapshots):
             amp = np.abs(values)
             # a Python float power (libm pow): numpy's square can differ
             self._gate[part] = [(self.node_eps * float(a)) ** 2
@@ -187,7 +185,7 @@ class GuidingField:
         """The field at time t: coefficient grids per axis, cubic Hermite in
         time (slopes from neighboring snapshots, one-sided at the ends), and
         the linear weights of snapshots k, k + 1 for rho and the gate. Rho is
-        blended only when a node flag needs it, or set for one snapshot."""
+        blended only when a node flag needs it."""
         times = self.times
         if not times[0] <= t <= times[-1]:
             raise ValueError(f"query time {t!r} outside the snapshot window "
@@ -195,7 +193,7 @@ class GuidingField:
         m = len(times)
         if m == 1:
             return _Blend(t, [c[0] for c in self._v_coef], 0, 0, 0.0,
-                          self._gate[0], np.abs(self.snapshots[0].values) ** 2)
+                          self._gate[0])
         k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), m - 2)
         h = times[k + 1] - times[k]
         s = (t - times[k]) / h
@@ -452,9 +450,7 @@ def _integrate(f, x0: np.ndarray, t0: float, t1: float, dt: float,
 
 def integrate_ensemble(gf: GuidingField, x0: np.ndarray, t0: float, t1: float,
                        dt: float, record_stride: int = 1,
-                       record_velocities: bool = False,
-                       seed: int | None = None,
-                       sampler: str = "explicit") -> EnsembleResult:
+                       record_velocities: bool = False) -> EnsembleResult:
     """RK4-integrate a batch of starting points under the guiding field.
 
     A step whose velocity evaluation lands in a node gate is retried at
@@ -474,11 +470,8 @@ def integrate_ensemble(gf: GuidingField, x0: np.ndarray, t0: float, t1: float,
         # past t1 by an ulp; the field raises outside its window
         return gf.velocity(x, min(t, t1))
 
-    res = _integrate(velocity, x0, t0, t1, dt, record_stride,
-                     record_velocities)
-    res.seed = seed
-    res.sampler = sampler
-    return res
+    return _integrate(velocity, x0, t0, t1, dt, record_stride,
+                      record_velocities)
 
 
 def integrate_trajectory(gf: GuidingField, x0, dt_traj: float) -> Trajectory:
@@ -505,9 +498,10 @@ def propagate_ensemble(snapshots, x0s: np.ndarray, dt_traj: float,
     """
     gf = snapshots if isinstance(snapshots, GuidingField) else GuidingField(
         snapshots, mass=mass, hbar=hbar)
-    return integrate_ensemble(gf, x0s, float(gf.times[0]), float(gf.times[-1]),
-                              dt_traj, record_stride=record_stride, seed=seed,
-                              sampler=sampler)
+    res = integrate_ensemble(gf, x0s, float(gf.times[0]), float(gf.times[-1]),
+                             dt_traj, record_stride=record_stride)
+    res.seed, res.sampler = seed, sampler
+    return res
 
 
 @dataclass

@@ -4,6 +4,7 @@ import pytest
 import pilotwave as pw
 from pilotwave.operators import (
     fd_laplacian,
+    snapshot_stacks,
     spectral_gradient,
     spectral_laplacian,
 )
@@ -96,3 +97,44 @@ def test_spectral_exhaustive_over_all_modes(circle):
         f = np.exp(1j * k * q)
         err = np.max(np.abs(spectral_gradient(f, circle) - 1j * k * f))
         assert err < 1e-10 * max(1, abs(k)), f"mode {k}"
+
+
+def _numbered_snapshots(g, m):
+    """m snapshots on grid g, snapshot i filled with the value i + 1j."""
+    return [pw.WaveField(g, np.full(g.shape, i + 1j), float(i)) for i in range(m)]
+
+
+@pytest.mark.parametrize("halo", [0, 2])
+def test_snapshot_stacks_tile_the_snapshots_once(halo):
+    """The parts tile indices 0 .. m - 1 - halo once, in order (with halo
+    2, the interior snapshots' residual indices); each stack is its part
+    and the halo snapshots after it; at n = 512 a whole stack holds 16
+    snapshots, so of 41 the last stack is partial."""
+    snaps = _numbered_snapshots(pw.SpatialGrid(512, (0.0, 2.0 * np.pi)), 41)
+    walk = list(snapshot_stacks(snaps, halo))
+    parts = [part for part, _ in walk]
+    tiled = [i for part in parts for i in range(part.start, part.stop)]
+    assert tiled == list(range(len(snaps) - halo))
+    for part, values in walk:
+        near = snaps[part.start:part.stop + halo]
+        assert np.array_equal(values, np.stack([s.values for s in near]))
+    sizes = [part.stop - part.start for part in parts]
+    assert sizes[:-1] == [16] * (len(sizes) - 1) and 0 < sizes[-1] < 16
+
+
+@pytest.mark.parametrize("halo", [0, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grids_of_8192_points_or_more_take_one_snapshot_per_stack(dim, halo):
+    """8,192 points of complex128 fill a whole stack (and 128^2 more than
+    fill it), so each stack holds one snapshot and its halo."""
+    box = (0.0, 2.0 * np.pi)
+    g = (pw.SpatialGrid(8192, box) if dim == 1
+         else pw.SpatialGrid((128, 128), (box, box)))
+    snaps = _numbered_snapshots(g, 5)
+    walk = list(snapshot_stacks(snaps, halo))
+    assert [(part.start, part.stop) for part, _ in walk] == [
+        (i, i + 1) for i in range(5 - halo)]
+    for i, (_, values) in enumerate(walk):
+        assert values.shape == (1 + halo, *g.shape)
+        assert np.array_equal(values.reshape(1 + halo, -1)[:, 0],
+                              np.arange(i, i + 1 + halo) + 1j)

@@ -6,7 +6,7 @@ import pytest
 from scipy import ndimage
 
 import pilotwave as pw
-from pilotwave.operators import STACK_BYTES
+from pilotwave.operators import snapshot_stacks
 from pilotwave.scenarios import load_config
 from pilotwave.trajectories import (
     GuidingField,
@@ -70,6 +70,8 @@ def test_snapshots_other_than_wave_fields_are_refused(free_gaussian_run):
     polar = pw.to_polar(free_gaussian_run[0])
     with pytest.raises(TypeError, match="PolarField"):
         GuidingField([polar])
+    with pytest.raises(TypeError, match="ndarray"):
+        GuidingField([np.zeros(16, complex)])
     with pytest.raises(TypeError, match="PolarField"):
         pw.velocity_at(polar, [0.5])
 
@@ -698,8 +700,7 @@ def test_field_keeps_coefficients_and_unsafe_cells_and_recomputes_rho(dim):
 
 
 def _stacked_snapshots(dim):
-    """Two crossing packets over three whole stacks of snapshots (as many
-    as fit in ``operators.STACK_BYTES`` of complex128) and part of a fourth."""
+    """Two crossing packets: 57 snapshots at n = 512, 15 at 64x32."""
     if dim == 1:
         g = pw.SpatialGrid(512, (-5.0 * np.pi, 5.0 * np.pi))
         a = pw.gaussian_packet(g, [-2.0], 1.0, momentum=[2.0])
@@ -708,9 +709,8 @@ def _stacked_snapshots(dim):
         g = pw.SpatialGrid((64, 32), ((-4.0 * np.pi, 4.0 * np.pi),) * 2)
         a = pw.gaussian_packet(g, [-1.5, 0.5], [1.0, 1.5], momentum=[1.5, 0.5])
         b = pw.gaussian_packet(g, [1.5, -0.5], [1.2, 1.0], momentum=[-1.5, 0.0])
-    step = STACK_BYTES // (16 * g.size)
-    cfg = pw.PropagatorConfig(dt=2e-2, steps=3 * step + step // 2)
-    return pw.propagate(pw.superpose(a, b), pw.FreePotential(), cfg), step
+    cfg = pw.PropagatorConfig(dt=2e-2, steps=56 if dim == 1 else 14)
+    return pw.propagate(pw.superpose(a, b), pw.FreePotential(), cfg)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -719,10 +719,13 @@ def test_stacks_change_no_byte(dim):
     snapshot, the bytes of the field built from that snapshot alone, and
     each continuity residual is that of the snapshot with its two
     neighbors alone: no snapshot is dropped or taken from the wrong
-    stack, the partial last one included."""
-    snaps, step = _stacked_snapshots(dim)
+    stack, the partial last one included. The snapshots fill three whole
+    stacks of ``snapshot_stacks`` and part of a fourth."""
+    snaps = _stacked_snapshots(dim)
     m = len(snaps)
-    assert m > 3 * step and m % step
+    parts = [part for part, _ in snapshot_stacks(snaps)]
+    step = parts[0].stop
+    assert step > 1 and len(parts) == 4 and m - parts[-1].start < step
     gf = GuidingField(snaps, node_eps=0.05)
     for i, snap in enumerate(snaps):
         one = GuidingField([snap], node_eps=0.05)
