@@ -105,8 +105,12 @@ class SpatialGrid:
         those entries: negative offsets and -0.0 (which the modulo maps to
         +0.0) carry the sign bit, and inf and NaN an exponent above that of
         any finite length.
+
+        The result is Fortran-ordered, so each ufunc runs along the points
+        one axis at a time, and its ``.T`` (the (dim, N) layout that
+        interpolation reads) is C-contiguous.
         """
-        d = np.asarray(x, dtype=float) - self.qmin
+        d = np.subtract(np.asarray(x, dtype=float), self.qmin, order="F")
         outside = d.view(np.uint64) >= self._length_bits
         if np.count_nonzero(outside):
             lengths = np.broadcast_to(self.lengths, d.shape)

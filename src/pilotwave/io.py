@@ -7,12 +7,16 @@ Field files start with a single comment header
 (multi-axis values comma-separated), followed by rows ``q[,q2],re,im``.
 All floats are written with 17 significant digits, which round-trips IEEE
 doubles bit-exactly.
-Rows go through ``_write_rows``, which writes the bytes of
-``np.savetxt(fmt="%.17g", delimiter=",")`` a block of rows per ``%``
-call; ``"%.17g" % x`` is the same text as ``format(x, ".17g")`` used for
-headers and the convergence table (whose undefined slopes stay blank), so
-every file shares one float format.
+Field rows come from ``dump_wave_field``, which formats each axis value
+once; every other table goes through ``_write_rows``, a block of rows per
+``%`` call. Both write the bytes of
+``np.savetxt(fmt="%.17g", delimiter=",")``, and ``"%.17g" % x`` is the
+same text as ``format(x, ".17g")`` used for headers and the convergence
+table (whose undefined slopes stay blank), so every file shares one float
+format.
 """
+
+import itertools
 
 import numpy as np
 
@@ -65,12 +69,26 @@ def _parse_header(line: str):
 
 
 def dump_wave_field(path, field: WaveField) -> None:
-    flat = field.values.ravel()
-    cols = [c.ravel() for c in field.grid.coordinates()]
-    cols += [flat.real, flat.imag]
+    """Header, then rows ``q[,q2],re,im`` in grid order: the bytes
+    ``np.savetxt`` writes for the coordinate columns beside re and im.
+
+    Each axis value is formatted once: the inner axis's values into the
+    lines ``<q>,%.17g,%.17g`` of a row template, the outer axis's into
+    ``<q>,`` prefixes. Each outer-axis row (a single row in 1D, with an
+    empty prefix) joins its prefix before every line and fills the
+    template with one ``%`` call, so only re and im are converted per grid
+    point.
+    """
+    *outer, inner = field.grid.axes
+    # the leading "" makes head.join put the head before the first line too
+    lines = [""] + ["%.17g,%%.17g,%%.17g\n" % v for v in inner.tolist()]
+    rows = field.values.view(float).reshape(-1, 2 * inner.size)
+    heads = map("".join, itertools.product(
+        *(["%.17g," % v for v in ax.tolist()] for ax in outer)))
     with open(path, "w") as fh:
         fh.write(_grid_header(field.grid, field.time) + "\n")
-        _write_rows(fh, np.column_stack(cols), "%.17g")
+        for head, row in zip(heads, rows):
+            fh.write(head.join(lines) % tuple(row.tolist()))
 
 
 def load_wave_field(path) -> WaveField:

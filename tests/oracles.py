@@ -10,8 +10,10 @@ algorithms kept beside the faster package code they check:
 safe-cell certificate and the certificate corner by corner,
 ``heap_unwrap_2d``, the cell-by-cell walk that the spanning-tree unwrap of
 ``to_polar`` replaced, ``numpy_split_step``, the ``numpy.fft`` loop
-that the in-place ``scipy.fft`` loop of ``propagate`` replaced, and
-``numpy_free_flight``, the one-shot free evolution on ``numpy.fft``.
+that the in-place ``scipy.fft`` loop of ``propagate`` replaced,
+``numpy_free_flight``, the one-shot free evolution on ``numpy.fft``, and
+``savetxt_wave_field``, the field file as ``np.savetxt`` writes it, which
+the per-axis prefixes of ``io.dump_wave_field`` replaced.
 
 The guidance law's second form lives here too. ``GuidingField`` reads the
 velocity as (hbar/m) Im(grad psi / psi) from the wave field alone;
@@ -31,6 +33,7 @@ import itertools
 import numpy as np
 from scipy import ndimage
 
+from pilotwave.io import _grid_header
 from pilotwave.operators import spectral_gradient, wrap_angle
 
 _TWO_PI = 2.0 * np.pi
@@ -333,3 +336,14 @@ def polar_velocity_grids(polar, mass):
     slope = polar.hbar * _TWO_PI * phase_winding(theta, grid) / grid.lengths[0]
     s_per = polar.S - slope * (grid.coordinates()[0] - grid.qmin[0])
     return [(spectral_gradient(s_per, grid) + slope) / mass]
+
+
+def savetxt_wave_field(path, field):
+    """The field file from ``np.savetxt``: the grid header, then one row
+    ``q[,q2],re,im`` per grid point, every coordinate formatted anew."""
+    flat = field.values.ravel()
+    cols = [c.ravel() for c in field.grid.coordinates()]
+    with open(path, "w") as fh:
+        fh.write(_grid_header(field.grid, field.time) + "\n")
+        np.savetxt(fh, np.column_stack(cols + [flat.real, flat.imag]),
+                   fmt="%.17g", delimiter=",")

@@ -4,6 +4,8 @@ import pytest
 import pilotwave as pw
 from pilotwave import io as pwio
 
+from oracles import savetxt_wave_field
+
 
 def test_grid_invariants():
     g = pw.SpatialGrid(64, (0.0, 2.0))
@@ -73,6 +75,19 @@ def test_fractional_index_equals_mod_formula_bytes(grid):
         assert single.tobytes() == want[row].tobytes(), points[row]
 
 
+def test_fractional_index_transpose_is_c_contiguous():
+    """The (N, 2) indices are Fortran-ordered, so the .T that
+    interpolation reads is C-contiguous, one axis after the other. Points
+    whose last axis is not the grid's dimension are refused."""
+    g = pw.SpatialGrid((64, 32), ((-3.0, 5.0), (0.0, 2.0)))
+    x = g.qmin + np.random.default_rng(4).random((500, 2)) * g.lengths
+    idx = g.to_fractional_index(x)
+    assert idx.shape == (500, 2)
+    assert idx.T.flags.c_contiguous
+    with pytest.raises(ValueError):
+        g.to_fractional_index(np.zeros((4, 3)))
+
+
 def test_integrate_unit_density():
     g = pw.SpatialGrid(128, (-10.0, 10.0))
     psi = pw.gaussian_packet(g, 0.0, 1.0)
@@ -108,6 +123,32 @@ def test_wave_field_roundtrip_2d(tmp_path):
     back = pwio.load_wave_field(path)
     assert back.grid == g
     assert np.array_equal(back.values, psi.values)
+
+
+def _seventeen_digit_field(grid, time):
+    """Random values with -0.0 parts and values that need all 17 digits."""
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    flat = vals.reshape(-1)
+    flat[:4] = [complex(-0.0, 0.1 + 0.2), complex(1.0 / 3.0, -0.0),
+                complex(-0.0, -0.0), complex(np.nextafter(1.0, 2.0), 2.0 / 3.0)]
+    return pw.WaveField(grid, vals, time=time)
+
+
+@pytest.mark.parametrize("grid", [
+    pw.SpatialGrid(2048, (-7.3, 11.9)),
+    pw.SpatialGrid((16, 32), ((-2.0, 2.0), (0.1, 1.0))),
+    pw.SpatialGrid((32, 16), ((-0.7, 1.3), (-3.0, 5.0))),
+], ids=repr)
+def test_wave_field_dump_equals_savetxt_bytes(tmp_path, grid):
+    """The per-axis prefixes write the bytes np.savetxt writes for the
+    coordinate columns beside re and im."""
+    field = _seventeen_digit_field(grid, time=1.0 / 7.0)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    pwio.dump_wave_field(got, field)
+    savetxt_wave_field(want, field)
+    assert b"-0," in want.read_bytes()
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_trajectory_dump_format(tmp_path):
