@@ -35,12 +35,10 @@ def main():
               f"{rep.separation[i]:.5f}")
     print(f"   final separation: {rep.final_separation:.4f}")
 
-    p0a = pw.velocity_at(psi_a, [1.0])
-    p0b = pw.velocity_at(psi_b, [1.0])
-    ca = pw.classical_trajectory(
-        ClassicalState([1.0], PlaneWaveAction(p0a, 1.0), p0=p0a), 2.0, 0.01)
-    cb = pw.classical_trajectory(
-        ClassicalState([1.0], PlaneWaveAction(p0b, 1.0), p0=p0b), 2.0, 0.01)
+    # the start momenta the divergence gate compared
+    ca, cb = (pw.classical_trajectory(
+        ClassicalState([1.0], PlaneWaveAction(p0, 1.0), p0=p0), 2.0, 0.01)
+        for p0 in (rep.p0_a, rep.p0_b))
     print(f"   matched classical pair separation: "
           f"{np.max(np.abs(ca.positions - cb.positions)):.2e}")
     print("   the classical side reduces to (q0, p0); the guided side"

@@ -108,9 +108,13 @@ class SpatialGrid:
 
         The result is Fortran-ordered, so each ufunc runs along the points
         one axis at a time, and its ``.T`` (the (dim, N) layout that
-        interpolation reads) is C-contiguous.
+        interpolation reads) is C-contiguous. Points whose last axis is not
+        the grid's dimension raise ValueError.
         """
-        d = np.subtract(np.asarray(x, dtype=float), self.qmin, order="F")
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"point shape {x.shape} on a {self.dim}D grid")
+        d = np.subtract(x, self.qmin, order="F")
         outside = d.view(np.uint64) >= self._length_bits
         if np.count_nonzero(outside):
             lengths = np.broadcast_to(self.lengths, d.shape)

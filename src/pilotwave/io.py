@@ -5,15 +5,12 @@ Field files start with a single comment header
     # grid dim=<d> n=<n> qmin=<..> qmax=<..> t=<..>
 
 (multi-axis values comma-separated), followed by rows ``q[,q2],re,im``.
-All floats are written with 17 significant digits, which round-trips IEEE
-doubles bit-exactly.
-Field rows come from ``dump_wave_field``, which formats each axis value
-once; every other table goes through ``_write_rows``, a block of rows per
-``%`` call. Both write the bytes of
-``np.savetxt(fmt="%.17g", delimiter=",")``, and ``"%.17g" % x`` is the
-same text as ``format(x, ".17g")`` used for headers and the convergence
-table (whose undefined slopes stay blank), so every file shares one float
-format.
+All floats are written as ``"%.17g" % x``, 17 significant digits, which
+round-trips IEEE doubles bit-exactly. Field rows come from
+``dump_wave_field``, which formats each axis value once; every other table
+goes through ``_write_rows``, a block of rows per ``%`` call. Both write
+the bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``; headers and the
+convergence table (whose undefined slopes stay blank) use the same format.
 """
 
 import itertools
@@ -24,10 +21,6 @@ from .fields import WaveField
 from .grid import SpatialGrid
 
 _BLOCK_ROWS = 4096
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_rows(fh, rows, fmts) -> None:
@@ -48,9 +41,10 @@ def _write_rows(fh, rows, fmts) -> None:
 
 def _grid_header(grid: SpatialGrid, t: float) -> str:
     n = ",".join(str(s) for s in grid.shape)
-    qmin = ",".join(_fmt(v) for v in grid.qmin)
-    qmax = ",".join(_fmt(v) for v in grid.qmax)
-    return f"# grid dim={grid.dim} n={n} qmin={qmin} qmax={qmax} t={_fmt(t)}"
+    qmin = ",".join("%.17g" % v for v in grid.qmin)
+    qmax = ",".join("%.17g" % v for v in grid.qmax)
+    return "# grid dim=%d n=%s qmin=%s qmax=%s t=%.17g" % (
+        grid.dim, n, qmin, qmax, t)
 
 
 def _parse_header(line: str):
@@ -121,9 +115,9 @@ def dump_convergence_table(path, rows) -> None:
     """Rows ``delta,k,errS,errR,slope`` (slope empty when undefined)."""
     with open(path, "w") as fh:
         for row in rows:
-            slope = "" if np.isnan(row.slope) else _fmt(row.slope)
-            fh.write(f"{_fmt(row.delta)},{row.k},{_fmt(row.err_s)},"
-                     f"{_fmt(row.err_r)},{slope}\n")
+            slope = "" if np.isnan(row.slope) else "%.17g" % row.slope
+            fh.write("%.17g,%s,%.17g,%.17g,%s\n" % (
+                row.delta, row.k, row.err_s, row.err_r, slope))
 
 
 def dump_table(path, header_cols, rows) -> None:

@@ -2,8 +2,9 @@
 
 Each scenario is a named, reproducible experiment: a strict config schema
 (unknown keys rejected with their dotted path, numeric ranges validated
-before any allocation), a runner that writes CSV artifacts plus a
-machine-readable ``report.json``, and an explicit list of checks -- every
+before any allocation), a runner that computes its checks and its CSV
+artifacts without touching the filesystem, and ``run_scenario``, which
+writes those artifacts plus a machine-readable ``report.json``. Every
 invariant a scenario verifies appears in the report with its measured
 value, pass/fail, and threshold. Physics parameters carry no code-side
 defaults; the committed example configs under ``configs/`` are the
@@ -60,7 +61,6 @@ from .trajectories import (
     count_axis_crossings,
     divergence_experiment,
     propagate_ensemble,
-    velocity_at,
 )
 
 OUTPUT_ROOT_ENV = "PILOTWAVE_OUTPUT_ROOT"
@@ -300,9 +300,10 @@ def _ks_rows(ens, snaps):
 
 
 # ---------------------------------------------------------------------------
-# scenario runners (each returns (checks, artifact relative paths))
+# scenario runners: each takes the config alone and returns its checks and
+# its artifacts, {file name: (dump function, *args after the path)}
 
-def _run_equivariance(cfg, out):
+def _run_equivariance(cfg):
     psi0 = _gaussian(cfg)
     grid = psi0.grid
     snaps = propagate(psi0, _build_potential(cfg), _prop_config(cfg))
@@ -310,24 +311,24 @@ def _run_equivariance(cfg, out):
     stat, dof, p_val = chi_square_gof(x0[:, 0], density(psi0))
     ks_rows = _ks_rows(ens, snaps)
     worst_ks = max(ks for _, ks, _ in ks_rows)
+    norm_drift = abs(snaps[-1].norm() - 1.0)
+    edge = edge_band_max(snaps[-1].values, grid)
     checks = [
         Check("born_sampling_gof_p", p_val > 0.01, p_val, "> 0.01"),
         Check("ks_all_dump_times", worst_ks < 0.02, worst_ks, "< 0.02"),
-        Check("norm_drift", abs(snaps[-1].norm() - 1.0) < 1e-10,
-              abs(snaps[-1].norm() - 1.0), "< 1e-10"),
-        Check("edge_leak", edge_band_max(snaps[-1].values, grid) < 1e-10,
-              edge_band_max(snaps[-1].values, grid), "< 1e-10"),
+        Check("norm_drift", norm_drift < 1e-10, norm_drift, "< 1e-10"),
+        Check("edge_leak", edge < 1e-10, edge, "< 1e-10"),
     ]
-    pwio.dump_ensemble_stats(out / "ensemble_stats.csv", ks_rows)
-    pwio.dump_trajectories(out / "trajectories.csv",
-                           [ens.trajectory(i) for i in range(min(100, ens.n))])
-    pwio.dump_wave_field(out / "field_initial.csv", snaps[0])
-    pwio.dump_wave_field(out / "field_final.csv", snaps[-1])
-    return checks, ["ensemble_stats.csv", "trajectories.csv",
-                    "field_initial.csv", "field_final.csv"]
+    return checks, {
+        "ensemble_stats.csv": (pwio.dump_ensemble_stats, ks_rows),
+        "trajectories.csv": (pwio.dump_trajectories, [
+            ens.trajectory(i) for i in range(min(100, ens.n))]),
+        "field_initial.csv": (pwio.dump_wave_field, snaps[0]),
+        "field_final.csv": (pwio.dump_wave_field, snaps[-1]),
+    }
 
 
-def _run_holland(cfg, out):
+def _run_holland(cfg):
     cl = cfg["classical"]
     rep = holland_nonuniqueness(cl["momentum"], cl["q0"],
                                 cfg["physics"]["mass"], cfg["run"]["T"],
@@ -345,13 +346,15 @@ def _run_holland(cfg, out):
         Check("hj_residual_plane_wave", res_p < 1e-10, res_p, "< 1e-10"),
         Check("hj_residual_circular", res_c < 1e-10, res_c, "< 1e-10"),
     ]
-    pwio.dump_trajectories(out / "trajectory_plane.csv", [rep.trajectory_plane])
-    pwio.dump_trajectories(out / "trajectory_circular.csv",
-                           [rep.trajectory_circular])
-    return checks, ["trajectory_plane.csv", "trajectory_circular.csv"]
+    return checks, {
+        "trajectory_plane.csv": (pwio.dump_trajectories,
+                                 [rep.trajectory_plane]),
+        "trajectory_circular.csv": (pwio.dump_trajectories,
+                                    [rep.trajectory_circular]),
+    }
 
 
-def _run_p2_divergence(cfg, out):
+def _run_p2_divergence(cfg):
     grid = _build_grid(cfg)
     st = cfg["state"]
     hbar, mass = cfg["physics"]["hbar"], cfg["physics"]["mass"]
@@ -364,17 +367,11 @@ def _run_p2_divergence(cfg, out):
     rep = divergence_experiment(GuidingField(snaps_a, mass=mass, hbar=hbar),
                                 GuidingField(snaps_b, mass=mass, hbar=hbar),
                                 [st["q0"]], cfg["run"]["dt_traj"])
-    # matched classical pair: each preparation reduces to the action-level
-    # data (q0, grad S(q0)) measured from its own field; identical data,
-    # identical motion
-    p0_a = mass * velocity_at(psi_a, [st["q0"]], mass=mass, hbar=hbar)
-    p0_b = mass * velocity_at(psi_b, [st["q0"]], mass=mass, hbar=hbar)
-    ca = classical_trajectory(
-        ClassicalState([st["q0"]], PlaneWaveAction(p0_a, mass), p0=p0_a),
-        cfg["run"]["T"], cfg["run"]["dt_traj"])
-    cb = classical_trajectory(
-        ClassicalState([st["q0"]], PlaneWaveAction(p0_b, mass), p0=p0_b),
-        cfg["run"]["T"], cfg["run"]["dt_traj"])
+    # matched classical pair: each preparation reduces to (q0, grad S(q0)),
+    # the start momenta the gate read; identical data, identical motion
+    ca, cb = (classical_trajectory(
+        ClassicalState([st["q0"]], PlaneWaveAction(p0, mass), p0=p0),
+        cfg["run"]["T"], cfg["run"]["dt_traj"]) for p0 in (rep.p0_a, rep.p0_b))
     sep_classical = float(np.max(np.abs(ca.positions - cb.positions)))
     checks = [
         Check("quantum_separation_final", rep.final_separation > 0.1,
@@ -382,14 +379,15 @@ def _run_p2_divergence(cfg, out):
         Check("classical_separation", sep_classical < 1e-8, sep_classical,
               "< 1e-8"),
     ]
-    pwio.dump_table(out / "separation.csv", ["t", "separation"],
-                    list(zip(rep.times, rep.separation)))
-    pwio.dump_trajectories(out / "trajectories.csv",
-                           [rep.trajectory_a, rep.trajectory_b])
-    return checks, ["separation.csv", "trajectories.csv"]
+    return checks, {
+        "separation.csv": (pwio.dump_table, ["t", "separation"],
+                           list(zip(rep.times, rep.separation))),
+        "trajectories.csv": (pwio.dump_trajectories,
+                             [rep.trajectory_a, rep.trajectory_b]),
+    }
 
 
-def _run_double_slit(cfg, out):
+def _run_double_slit(cfg):
     grid = _build_grid(cfg)
     st = cfg["state"]
     psi0 = double_slit_state(grid, st["separation"], st["width"],
@@ -427,14 +425,15 @@ def _run_double_slit(cfg, out):
               ">= 3 within one bin"),
         Check("norm_drift", norm_drift < 1e-10, norm_drift, "< 1e-10"),
     ]
-    pwio.dump_ensemble_stats(out / "ensemble_stats.csv", ks_rows)
-    pwio.dump_table(out / "histogram.csv", ["q", "count"],
-                    list(zip(centers, hist.astype(float))))
-    pwio.dump_wave_field(out / "field_final.csv", snaps[-1])
-    return checks, ["ensemble_stats.csv", "histogram.csv", "field_final.csv"]
+    return checks, {
+        "ensemble_stats.csv": (pwio.dump_ensemble_stats, ks_rows),
+        "histogram.csv": (pwio.dump_table, ["q", "count"],
+                          list(zip(centers, hist.astype(float)))),
+        "field_final.csv": (pwio.dump_wave_field, snaps[-1]),
+    }
 
 
-def _run_semiclassical(cfg, out):
+def _run_semiclassical(cfg):
     grid = _build_grid(cfg)
     st = cfg["state"]
     mass = cfg["physics"]["mass"]
@@ -452,12 +451,12 @@ def _run_semiclassical(cfg, out):
         Check("error_strictly_decreasing", sweep.monotone_decreasing,
               min(gaps) if gaps else float("nan"), "> 0 per hbar halving"),
     ]
-    pwio.dump_table(out / "errors.csv", ["hbar", "max_trajectory_error"],
-                    list(zip(sweep.hbars, sweep.errors)))
-    return checks, ["errors.csv"]
+    return checks, {"errors.csv": (pwio.dump_table,
+                                   ["hbar", "max_trajectory_error"],
+                                   list(zip(sweep.hbars, sweep.errors)))}
 
 
-def _run_reconstruction(cfg, out):
+def _run_reconstruction(cfg):
     hbar, mass = cfg["physics"]["hbar"], cfg["physics"]["mass"]
     psi0 = _gaussian(cfg)
     pot = _build_potential(cfg)
@@ -496,11 +495,10 @@ def _run_reconstruction(cfg, out):
               min(a - b for a, b in zip(errs, errs[1:])) if len(errs) > 1
               else float("nan"), "> 0 per delta step"),
     ]
-    pwio.dump_convergence_table(out / "convergence.csv", rows)
-    return checks, ["convergence.csv"]
+    return checks, {"convergence.csv": (pwio.dump_convergence_table, rows)}
 
 
-def _run_continuity(cfg, out):
+def _run_continuity(cfg):
     psi0 = _gaussian(cfg)
     pot = _build_potential(cfg)
 
@@ -525,8 +523,8 @@ def _run_continuity(cfg, out):
               "in [3.2, 4.8]"),
     ]
     rows = [(snaps[i + 1].time, float(res[i])) for i in range(len(res))]
-    pwio.dump_table(out / "residuals.csv", ["t", "residual"], rows)
-    return checks, ["residuals.csv"]
+    return checks, {"residuals.csv": (pwio.dump_table, ["t", "residual"],
+                                      rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -687,19 +685,17 @@ def run_scenario(cfg: dict, out_dir=None) -> dict:
 
     Returns the report dict; raises ScenarioFailure after writing the
     report when any check failed, and ConfigError before any output when
-    the config is invalid. When the runner raises, the output directory
-    is removed again if this call created it and it is still empty.
+    the config is invalid. The output directory is made, and each
+    artifact written, only once the runner has returned: a runner that
+    raises leaves no output, and an unwritable directory is an OSError
+    after the computation.
     """
     name = validate_config(cfg)
+    checks, artifacts = REGISTRY[name]["runner"](cfg)
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(cfg)
-    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        checks, artifacts = REGISTRY[name]["runner"](cfg, out)
-    except BaseException:
-        if created and not any(out.iterdir()):
-            out.rmdir()
-        raise
+    for file_name, (dump, *args) in artifacts.items():
+        dump(out / file_name, *args)
     passed = all(c.passed for c in checks)
     report = {
         "scenario": name,

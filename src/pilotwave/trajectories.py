@@ -510,6 +510,9 @@ class DivergenceReport:
     separation: np.ndarray
     trajectory_a: Trajectory
     trajectory_b: Trajectory
+    # the start momenta m v(q0) that the preparation gate compared
+    p0_a: np.ndarray
+    p0_b: np.ndarray
 
     @property
     def final_separation(self) -> float:
@@ -531,7 +534,8 @@ def divergence_experiment(gf_a: GuidingField, gf_b: GuidingField, q0,
     vb, fb = gf_b.velocity(q0[None], gf_b.times[0])
     if fa.any() or fb.any():
         raise PreparationMismatchError("q0 sits in a node gate of a preparation")
-    grad_gap = float(np.linalg.norm(gf_a.mass * va[0] - gf_b.mass * vb[0]))
+    p0_a, p0_b = gf_a.mass * va[0], gf_b.mass * vb[0]
+    grad_gap = float(np.linalg.norm(p0_a - p0_b))
     if grad_gap >= 1e-8:
         raise PreparationMismatchError(
             f"initial phase gradients differ by {grad_gap:.3e} >= 1e-8")
@@ -540,7 +544,8 @@ def divergence_experiment(gf_a: GuidingField, gf_b: GuidingField, q0,
     m = min(len(traj_a.times), len(traj_b.times))
     sep = np.linalg.norm(traj_a.positions[:m] - traj_b.positions[:m], axis=1)
     return DivergenceReport(times=traj_a.times[:m], separation=sep,
-                            trajectory_a=traj_a, trajectory_b=traj_b)
+                            trajectory_a=traj_a, trajectory_b=traj_b,
+                            p0_a=p0_a, p0_b=p0_b)
 
 
 def count_axis_crossings(result: EnsembleResult,

@@ -26,8 +26,8 @@ class RecordingConfig(dict):
 
 
 def recording(runner, reads):
-    def run(cfg, out):
-        return runner(RecordingConfig(cfg, reads), out)
+    def run(cfg):
+        return runner(RecordingConfig(cfg, reads))
     return run
 
 

@@ -78,14 +78,16 @@ def test_fractional_index_equals_mod_formula_bytes(grid):
 def test_fractional_index_transpose_is_c_contiguous():
     """The (N, 2) indices are Fortran-ordered, so the .T that
     interpolation reads is C-contiguous, one axis after the other. Points
-    whose last axis is not the grid's dimension are refused."""
+    whose last axis is not the grid's dimension are refused, also where
+    they would broadcast."""
     g = pw.SpatialGrid((64, 32), ((-3.0, 5.0), (0.0, 2.0)))
     x = g.qmin + np.random.default_rng(4).random((500, 2)) * g.lengths
     idx = g.to_fractional_index(x)
     assert idx.shape == (500, 2)
     assert idx.T.flags.c_contiguous
-    with pytest.raises(ValueError):
-        g.to_fractional_index(np.zeros((4, 3)))
+    for shape in ((4, 3), (4, 1)):
+        with pytest.raises(ValueError):
+            g.to_fractional_index(np.zeros(shape))
 
 
 def test_integrate_unit_density():

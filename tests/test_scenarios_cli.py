@@ -86,8 +86,14 @@ def test_run_writes_full_report(tmp_path):
     assert on_disk["checks"], "report must enumerate every check"
     for check in on_disk["checks"]:
         assert set(check) == {"name", "passed", "value", "threshold"}
-    for artifact in on_disk["artifacts"]:
-        assert (tmp_path / "out" / artifact).exists()
+
+
+def test_report_artifacts_are_the_files_written(config_runs):
+    """Every committed config's report lists each file of its run
+    directory once, and no other."""
+    for name, (report, out) in sorted(config_runs.items()):
+        written = sorted(p.name for p in out.iterdir())
+        assert sorted(report["artifacts"]) == written, name
 
 
 def test_rerun_is_bit_identical(tmp_path):
@@ -380,23 +386,31 @@ def test_cli_run_grid_too_coarse_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("existed", [False, True])
 def test_cli_run_refused_by_the_library_leaves_no_new_directory(
         tmp_path, capsys, existed):
-    """A library precondition that ``check`` cannot see stops the runner
-    after ``run_scenario`` made the output directory: the directory goes
-    again, unless it was there before the run."""
-    cfg = _edited("double-slit-nocross",
-                  lambda c: c["state"].update(width=0.05))
-    out = tmp_path / "runs" / "slit"
-    cfg["output"]["directory"] = str(out)
-    path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(cfg))
-    if existed:
-        out.mkdir(parents=True)
-    assert cli.main(["check", str(path)]) == 0
-    assert cli.main(["run", str(path)]) == 2
-    assert "slit width 0.05" in capsys.readouterr().err
-    assert out.exists() == existed
-    if existed:
-        assert list(out.iterdir()) == []
+    """A library precondition that ``check`` cannot see stops the runner,
+    and ``run_scenario`` makes the output directory only once the runner
+    has returned: no directory appears, and one that was there before the
+    run stays empty. The slit width is refused before any propagation, the
+    divergence gate's start point after both."""
+    refused = {
+        "slit": ("double-slit-nocross",
+                 lambda c: c["state"].update(width=0.05), "slit width 0.05"),
+        "p2": ("p2-divergence", lambda c: c["state"].update(q0=31.0),
+               "PreparationMismatchError"),
+    }
+    for label, (name, edit, message) in refused.items():
+        cfg = _edited(name, edit)
+        out = tmp_path / "runs" / label
+        cfg["output"]["directory"] = str(out)
+        path = tmp_path / f"{label}.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        if existed:
+            out.mkdir(parents=True)
+        assert cli.main(["check", str(path)]) == 0
+        assert cli.main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert out.exists() == existed
+        if existed:
+            assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("name, section, key, value, error", [

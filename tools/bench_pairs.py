@@ -11,8 +11,9 @@ directory, so neither reads uncommitted files or the checkout's
 ``perfbench/out``. Runs go strictly one at a time. Pair k runs the parent
 first when k is even and the change first when k is odd. Per workload of
 ``BENCHMARK.json`` there are 10 untraced pairs at its ``run_seconds`` and
-one traced pair at 15 s, plus 4 pairs on the other seed if one is given;
-a seed scan runs the change alone, 1 s per seed.
+3 traced pairs at 15 s, so each traced layer figure is a median of 3,
+plus 4 pairs on the other seed if one is given; a seed scan runs the
+change alone, 1 s per seed.
 
 Every run's last stdout line is appended to ``<workdir>/runs.jsonl`` as it
 finishes (its stderr to ``<workdir>/runs.log``), and the JSON file is built
@@ -35,7 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-PAIRS, TRACED_PAIRS, OTHER_SEED_PAIRS = 10, 1, 4
+PAIRS, TRACED_PAIRS, OTHER_SEED_PAIRS = 10, 3, 4
 TRACED_SECONDS, SCAN_SECONDS = 15.0, 1.0
 
 
