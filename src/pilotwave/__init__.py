@@ -12,7 +12,6 @@ from .classical import (
     CircularAction,
     ClassicalState,
     PlaneWaveAction,
-    TransportedAction,
     classical_trajectory,
     hj_residual,
     holland_nonuniqueness,

@@ -1,5 +1,5 @@
 """Classical side of the comparison: analytic action fields, the classical
-guiding law dQ/dt = grad(S)/m, probabilistic transport by characteristics,
+guiding law dQ/dt = grad(S)/m, transport of a density by characteristics,
 and the semiclassical sweep.
 
 Every action solves the free Hamilton-Jacobi equation (V = 0) with the
@@ -137,48 +137,6 @@ class CircularAction(ActionField):
         return self.mass * (q - self.center) / t / self.mass
 
 
-class TransportedAction(ActionField):
-    """Action sampled along transported characteristics (1D).
-
-    Cubic in space on each record, linear between records. Defined only on
-    the convex hull of the characteristic positions within the time window.
-    It gives values only: a difference between records is not the action's
-    time derivative, so ``gradient`` and ``time_derivative`` stay the base
-    class's NotImplementedError.
-    """
-
-    def __init__(self, times: np.ndarray, positions: list[np.ndarray],
-                 values: list[np.ndarray]):
-        # imported here: only transport needs it, and it is slow to load
-        from scipy.interpolate import CubicSpline
-
-        self.times = np.asarray(times, dtype=float)
-        self._splines = [CubicSpline(x, s) for x, s in zip(positions, values)]
-        self._ranges = [(float(x[0]), float(x[-1])) for x in positions]
-
-    def evaluate(self, q, t):
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
-            raise UndefinedGradientError(
-                f"t = {t:g} outside the transported window "
-                f"[{self.times[0]:g}, {self.times[-1]:g}]"
-            )
-        k, w = 0, 0.0
-        if len(self.times) > 1:
-            k = int(np.clip(np.searchsorted(self.times, t) - 1, 0,
-                            len(self.times) - 2))
-            w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
-            w = float(np.clip(w, 0.0, 1.0))
-        k1 = min(k + 1, len(self.times) - 1)
-        x = _as_points(q)[:, 0]
-        for kk in (k, k1):
-            lo, hi = self._ranges[kk]
-            if np.any(x < lo) or np.any(x > hi):
-                raise UndefinedGradientError(
-                    "query outside the transported characteristic hull"
-                )
-        return (1 - w) * self._splines[k](x) + w * self._splines[k1](x)
-
-
 @dataclass
 class ClassicalState:
     """Initial data (Q0, action) for the classical guiding law.
@@ -286,7 +244,6 @@ def holland_nonuniqueness(momentum, q0, mass: float, t_end: float,
 @dataclass
 class TransportResult:
     densities: list[RealField]
-    action: TransportedAction
     min_jacobian: float
 
 
@@ -294,16 +251,17 @@ def transport_classical(density0: RealField, action: ActionField,
                         t_end: float, n_records: int = 9,
                         t_start: float = 0.0,
                         jacobian_floor: float = 1e-8) -> TransportResult:
-    """Carry a 1D density and its action along classical characteristics.
+    """Carry a 1D density along classical characteristics.
 
     The classical ensemble density is the quantum one's type: ``density0``
     and every record are ``RealField``s of units "probability_density",
     like ``fields.density(psi)``, and ``.integrate()`` gives their mass.
     Every action solves free HJ, so the characteristic from node q is the
     line x = q + v0 tau, with v0 = grad S(q, t_start) / m and
-    tau = t - t_start, and it carries S = S0 + m v0^2 tau / 2. Its stretch
-    J = 1 + tau dJ, with dJ the node derivative of v0, is linear in tau,
-    and the density transports as rho0 / J: no step is taken. Records fall
+    tau = t - t_start. The action along it is the caller's own,
+    action.evaluate(x, t) = S0 + m v0^2 tau / 2, so none is returned. Its
+    stretch J = 1 + tau dJ, with dJ the node derivative of v0, is linear in
+    tau, and the density transports as rho0 / J: no step is taken. Records fall
     at ``n_records`` equally spaced times from t_start to t_end (one, a
     copy of rho0, when they coincide) and are resampled onto the grid with
     cubic splines (zero outside the characteristic hull, which must stay
@@ -332,7 +290,6 @@ def transport_classical(density0: RealField, action: ActionField,
 
     q_nodes = grid.axes[0]
     v0 = action.gradient(q_nodes[:, None], t_start)[:, 0] / action.mass
-    s0 = np.asarray(action.evaluate(q_nodes[:, None], t_start), dtype=float)
     d_jac = np.gradient(v0, q_nodes)
     d_min = d_jac.min()
     taus = np.linspace(0.0, span, n_records if span > 0 else 1)
@@ -345,7 +302,6 @@ def transport_classical(density0: RealField, action: ActionField,
 
     densities = [RealField(grid, density0.values, "probability_density",
                            time=t_start)]
-    rec_x, rec_s = [q_nodes.copy()], [s0]
     for tau in taus[1:]:
         x = q_nodes + v0 * tau
         inside = (q_nodes >= x[0]) & (q_nodes <= x[-1])
@@ -354,10 +310,7 @@ def transport_classical(density0: RealField, action: ActionField,
             q_nodes[inside])
         densities.append(RealField(grid, np.maximum(rho, 0.0),
                                    "probability_density", time=t_start + tau))
-        rec_x.append(x)
-        rec_s.append(s0 + 0.5 * action.mass * v0**2 * tau)
-    result = TransportResult(
-        densities, TransportedAction(t_start + taus, rec_x, rec_s), min_jac)
+    result = TransportResult(densities, min_jac)
     if caustic:
         raise CausticDetectedError(
             f"characteristic Jacobian reaches {jacobian_floor:.3e} at "

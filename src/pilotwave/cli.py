@@ -7,7 +7,8 @@
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid config. A
 config that passes ``check`` but that the library refuses during the run
 (a ValueError, or a package error such as BundleCrossingError) also exits
-2, with one line on stderr.
+2, with one line on stderr, and so does an output directory that cannot be
+written (an OSError, raised after the computation).
 The environment variable PILOTWAVE_OUTPUT_ROOT prepends a root to relative
 output directories.
 """
@@ -54,9 +55,10 @@ def main(argv=None) -> int:
     except ScenarioFailure as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    except (PilotwaveError, ValueError) as exc:
+    except (PilotwaveError, ValueError, OSError) as exc:
         # the config passed validate_config; a library precondition
-        # rejected a value (e.g. a bundle member halted at a node)
+        # rejected a value (e.g. a bundle member halted at a node), or
+        # output.directory cannot be written
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     for check in report["checks"]:

@@ -288,14 +288,14 @@ def _born_ensemble(snaps, psi0, cfg):
 
 def _ks_rows(ens, snaps):
     """Per ensemble record: (t, KS distance to the nearest snapshot's
-    |psi|^2, halted fraction)."""
+    |psi|^2, share of members halted before it, whom that KS leaves out)."""
     snap_times = np.array([s.time for s in snaps])
     rows = []
     for r, t in enumerate(ens.times):
         k = int(np.argmin(np.abs(snap_times - t)))
-        ks = ks_statistic(ens.positions[r][ens.alive_at(r), 0],
-                          density(snaps[k]))
-        rows.append((t, ks, ens.halted_fraction))
+        alive = ens.alive_at(r)
+        ks = ks_statistic(ens.positions[r][alive, 0], density(snaps[k]))
+        rows.append((t, ks, np.count_nonzero(~alive) / ens.n))
     return rows
 
 

@@ -121,17 +121,6 @@ def test_transport_zero_time_identity(gaussian_density):
     assert np.array_equal(res.densities[0].values, gaussian_density.values)
 
 
-def test_transported_action_rides_along(gaussian_density):
-    action = PlaneWaveAction([2.0], 1.0, offset=0.3)
-    res = pw.transport_classical(gaussian_density, action, t_end=1.0,
-                                 n_records=5)
-    for t in (0.25, 0.8):
-        q = np.array([[1.0], [3.0]])
-        got = res.action.evaluate(q, t)
-        want = action.evaluate(q, t)
-        assert np.max(np.abs(got - want)) < 1e-8
-
-
 def test_transported_continuity_second_order(gaussian_density):
     """Residual of d(rho)/dt + d(rho v)/dq over transported records falls
     like the record spacing squared."""
@@ -175,6 +164,51 @@ class FocusingAction(pw.ActionField):
     def time_derivative(self, q, t):
         pts = np.atleast_2d(np.asarray(q, float))
         return -self.mass * np.sum(pts**2, axis=1) / (2.0 * (t - self.tc) ** 2)
+
+
+@pytest.mark.parametrize("action, t0", [
+    (PlaneWaveAction([2.0], 1.0, offset=0.3), 0.2),
+    (PlaneWaveAction([2.0], 3.5, offset=0.3), 0.2),
+    (CircularAction([0.25], 2.0), 0.5),
+    (FocusingAction(1.0, 1.5), 0.0),
+], ids=["plane-m1", "plane-m3.5", "circular", "focusing"])
+def test_action_along_a_characteristic_is_the_callers_action(action, t0):
+    """Free HJ carries S(q + v0 tau, t0 + tau) = S(q, t0) + m v0^2 tau / 2
+    along each characteristic, so transport returns no copy of the action:
+    the caller's own ``evaluate`` gives it (the focusing action before its
+    focus at t = 1)."""
+    q = np.array([[-1.3], [0.4], [2.1]])
+    v0 = action.gradient(q, t0) / action.mass
+    s0 = action.evaluate(q, t0)
+    for tau in (0.25, 0.8):
+        np.testing.assert_allclose(
+            action.evaluate(q + v0 * tau, t0 + tau),
+            s0 + 0.5 * action.mass * np.sum(v0**2, axis=1) * tau,
+            rtol=1e-12, atol=0.0)
+
+
+class _GradientOnlyAction(pw.ActionField):
+    """The plane wave's gradient with the base class's ``evaluate``, which
+    raises NotImplementedError."""
+
+    mass = 1.0
+
+    def gradient(self, q, t):
+        return np.full_like(np.atleast_2d(np.asarray(q, float)), 2.0)
+
+
+def test_transport_reads_the_gradient_alone(gaussian_density):
+    with pytest.raises(NotImplementedError):
+        _GradientOnlyAction().evaluate([[0.0]], 0.0)
+    got = pw.transport_classical(gaussian_density, _GradientOnlyAction(),
+                                 t_end=1.0, n_records=5)
+    want = pw.transport_classical(gaussian_density,
+                                  PlaneWaveAction([2.0], 1.0), t_end=1.0,
+                                  n_records=5)
+    assert [d.time for d in got.densities] == [d.time for d in want.densities]
+    for g, w in zip(got.densities, want.densities):
+        assert g.values.tobytes() == w.values.tobytes()
+    assert got.min_jacobian == want.min_jacobian
 
 
 def _hand_rk4(action, q0, t0, t_end, dt):
@@ -241,7 +275,6 @@ def test_transport_records_are_equally_spaced(gaussian_density):
                                  t_end=1.0)
     times = [d.time for d in res.densities]
     assert times == list(np.linspace(0.0, 1.0, 9))
-    assert np.array_equal(res.action.times, times)
 
 
 def test_transport_refuses_a_reversed_window(gaussian_density):
@@ -276,7 +309,6 @@ def test_caustic_between_records_is_raised_at_its_time(gaussian_density):
     assert [d.time for d in partial.densities] == [0.0]
     assert np.array_equal(partial.densities[0].values,
                           gaussian_density.values)
-    assert partial.action.times.tolist() == [0.0]
 
 
 def test_transport_is_1d_only():

@@ -2,6 +2,7 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -431,3 +432,38 @@ def test_cli_run_library_refusal_exit_two(tmp_path, capsys, name, section,
     assert cli.main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {error}:") and err.count("\n") == 1
+
+
+def test_cli_run_unwritable_output_exit_two(tmp_path, capsys):
+    """``check`` cannot see that output.directory lies under a regular
+    file; ``run`` computes, fails to make the directory, and reports it as
+    a refused value: one stderr line and exit 2, not a traceback and not
+    the exit 1 of a failed check."""
+    (tmp_path / "afile").write_text("")
+    cfg = _holland_cfg(tmp_path / "afile" / "out")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: NotADirectoryError:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_ks_rows_halted_share_is_per_record():
+    """Each row's halted share counts the members its KS sample leaves
+    out: a member stays in the sample at its own halt record, so member 0,
+    halted at t = 0.5, is left out only at t = 1."""
+    grid = pw.SpatialGrid(64, (-8.0, 8.0))
+    n = 10
+    status = np.zeros(n, dtype=int)
+    status[0] = 1
+    halt_times = np.full(n, np.nan)
+    halt_times[0] = 0.5
+    ens = pw.EnsembleResult(
+        np.array([0.0, 0.5, 1.0]),
+        np.tile(np.linspace(-1.0, 1.0, n)[None, :, None], (3, 1, 1)),
+        status, halt_times)
+    rows = scenarios._ks_rows(ens, [pw.gaussian_packet(grid, 0.0, 1.0)])
+    assert [row[2] for row in rows] == [0.0, 0.0, 0.1]

@@ -16,7 +16,9 @@ strictly one at a time:
 
 A file is "same" when both sides wrote it with equal bytes, "differs" when
 both wrote it with other bytes, and "parent only" or "change only" when one
-side did not write it. The exit code of every run is recorded too.
+side did not write it. The exit code of every run is recorded too. The
+two commits are "identical" when every file is "same" and every run exits
+with the same code on both sides; runs whose codes differ are listed.
 """
 
 import argparse
@@ -102,6 +104,10 @@ def main(argv=None):
         p, c = (sides[s][0].get(name) for s in SIDES)
         files[name] = {"parent": p, "change": c, "verdict": verdict(p, c)}
     counts = dict(Counter(entry["verdict"] for entry in files.values()))
+    exits = {s: sides[s][1] for s in SIDES}
+    runs = sorted(set(exits["parent"]) | set(exits["change"]))
+    exit_differs = [r for r in runs
+                    if exits["parent"].get(r) != exits["change"].get(r)]
     result = {
         "label": args.label,
         "parent": shas["parent"],
@@ -111,15 +117,16 @@ def main(argv=None):
                  "with PILOTWAVE_OUTPUT_ROOT set, then each demos/*.py "
                  "without options, strictly one at a time; each side in a "
                  "git archive export of its commit"),
-        "identical": counts == {"same": len(files)},
+        "identical": counts == {"same": len(files)} and not exit_differs,
         "counts": counts,
-        "exit_codes": {s: sides[s][1] for s in SIDES},
+        "exit_codes": exits,
+        "exit_differs": exit_differs,
         "seconds": {s: round(sides[s][2], 1) for s in SIDES},
         "files": files,
     }
     dest = ROOT / f"EQUIV_{args.label}.json"
     dest.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"wrote {dest}: {counts}")
+    print(f"wrote {dest}: {counts}, exit codes differ: {exit_differs}")
     return 0 if result["identical"] else 1
 
 
