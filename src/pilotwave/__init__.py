@@ -59,7 +59,6 @@ from .schrodinger import (
     Potential,
     PropagatorConfig,
     continuity_residual,
-    expectation_energy,
     propagate,
 )
 from .states import (

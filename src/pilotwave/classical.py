@@ -270,8 +270,12 @@ def transport_classical(density0: RealField, action: ActionField,
     inside the window, raises CausticDetectedError naming that time and
     carrying the records before it. t_end < t_start, fewer than two
     records on a window of positive length, or a floor outside (0, 1)
-    (J starts at 1) raises ValueError.
+    (J starts at 1) raises ValueError; a density0 that is not a RealField
+    raises TypeError.
     """
+    if not isinstance(density0, RealField):
+        raise TypeError("transport_classical takes a RealField density "
+                        f"first, not {type(density0).__name__}")
     grid = density0.grid
     if grid.dim != 1:
         raise NotImplementedError("characteristic transport is 1D")

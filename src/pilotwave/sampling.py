@@ -19,7 +19,10 @@ from .stats import grid_cdf_1d
 
 
 def born_sample(psi0: WaveField, n: int, seed: int) -> np.ndarray:
-    """Draw n initial positions with density |psi0|^2; shape (n, dim)."""
+    """Draw n initial positions with density |psi0|^2; shape (n, dim).
+    A negative n raises ValueError."""
+    if n < 0:
+        raise ValueError(f"born_sample needs n >= 0 draws, got {n}")
     rho = density(psi0)
     rng = np.random.default_rng(seed)
     if psi0.grid.dim == 1:

@@ -223,19 +223,6 @@ def propagate(psi0: WaveField, potential: Potential, cfg: PropagatorConfig) -> l
     return snapshots
 
 
-def expectation_energy(psi: WaveField, potential: Potential,
-                       mass: float = 1.0, hbar: float = 1.0) -> float:
-    """<H> = kinetic (in k-space) + potential expectation."""
-    grid = psi.grid
-    spec = fftn(psi.values)
-    k2 = grid.k_squared()
-    # Parseval: sum|fft|^2 * dv / N integrates |psi_hat|^2 consistently
-    weight = grid.cell_volume / grid.size
-    kinetic = (hbar**2 / (2.0 * mass)) * float(np.sum(k2 * np.abs(spec) ** 2)) * weight
-    pot = grid.integrate(potential.as_field(grid) * np.abs(psi.values) ** 2)
-    return kinetic + pot
-
-
 def _current(values, grid, mass, hbar):
     """Current j_a = (hbar/m) Im(conj(psi) d_a psi) per axis, of one
     field's values or a stack of them."""

@@ -28,9 +28,12 @@ def grid_cdf_1d(rho: RealField):
 
 
 def ks_statistic(samples: np.ndarray, rho: RealField) -> float:
-    """One-sample Kolmogorov-Smirnov distance between samples and a grid density."""
+    """One-sample Kolmogorov-Smirnov distance between samples and a grid
+    density. An empty sample has no distance: ValueError."""
     q, F = grid_cdf_1d(rho)
     x = np.sort(np.asarray(samples, dtype=float))
+    if x.size == 0:
+        raise ValueError("ks_statistic needs at least one sample")
     cdf = np.interp(x, q, F)
     n = x.size
     ecdf_hi = np.arange(1, n + 1) / n

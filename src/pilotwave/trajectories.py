@@ -34,6 +34,8 @@ gather or scatter, and it takes the retry path only for a step that raised
 a flag; so a one-member path pays little beyond its four field queries.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,19 +52,53 @@ from .operators import snapshot_stacks, spectral_gradient
 _CERT_MARGIN = 1e-12
 
 
+def _new_axis_pool():
+    """The one worker that runs axis 1 of a 2D field's per-axis work while
+    the caller runs axis 0. Its thread starts on the first 2D field; a
+    forked child, which has no copy of that thread, gets a new pool."""
+    global _AXIS_POOL
+    _AXIS_POOL = ThreadPoolExecutor(max_workers=1)
+
+
+_new_axis_pool()
+os.register_at_fork(after_in_child=_new_axis_pool)
+
+
+def _start_axis_1(fn, dim: int, *args):
+    """Submit fn(1, *args) to the axis worker on a 2D grid; None in 1D.
+    fn must call no public function of the package: a tracer that wraps
+    those keeps one span stack per process."""
+    return _AXIS_POOL.submit(fn, 1, *args) if dim == 2 else None
+
+
+def _join(job) -> None:
+    """Wait for a job of ``_start_axis_1``, raising what it raised."""
+    if job is not None:
+        job.result()
+
+
+def _velocity_axis(values, grid, bad, a: int, scale: float) -> np.ndarray:
+    """scale * Im(d_a psi / psi), zeroed where ``bad``."""
+    dpsi = spectral_gradient(values, grid, axis=a)
+    np.divide(dpsi, values, out=dpsi, where=~bad)
+    v = scale * dpsi.imag
+    v[bad] = 0.0
+    return v
+
+
+def _interpolate(a: int, v_coef, coords: np.ndarray, v: np.ndarray) -> None:
+    """Cubic interpolation of axis a's coefficient grid into v[:, a]."""
+    ndimage.map_coordinates(v_coef[a], coords, output=v[:, a], order=3,
+                            mode="grid-wrap", prefilter=False)
+
+
 def wave_velocity_grids(values: np.ndarray, grid: SpatialGrid, rho: np.ndarray,
                         mass: float, hbar: float, floor_rho) -> list[np.ndarray]:
     """Guiding velocity (hbar/m) Im(grad psi / psi) of one field's values or a
     stack of them, zeroed where rho = |psi|^2 lies below floor_rho."""
     bad = rho < floor_rho
-    out = []
-    for a in range(grid.dim):
-        dpsi = spectral_gradient(values, grid, axis=a)
-        np.divide(dpsi, values, out=dpsi, where=~bad)
-        v = (hbar / mass) * dpsi.imag
-        v[bad] = 0.0
-        out.append(v)
-    return out
+    return [_velocity_axis(values, grid, bad, a, hbar / mass)
+            for a in range(grid.dim)]
 
 
 class GuidingField:
@@ -89,6 +125,15 @@ class GuidingField:
     each, about 0.15 ms at 256^2) and blends it, at most once per query
     time; every flag has the value the full interpolation gives. A build
     reads ``snapshot_stacks``; what it keeps per point is unchanged.
+
+    On a 2D grid the per-axis work runs on two threads: axis 1 on one
+    module-level worker, axis 0 (with the gates, the unsafe-cell grids and
+    the node flags) on the caller. That work is each axis's spectral
+    gradient, divide and spline prefilter in the build, its gemv in the
+    time blend and its cubic interpolation in a query; numpy and scipy
+    release the GIL in all of them. Each thread makes the calls a serial
+    loop over the axes makes and writes arrays the other does not touch,
+    so the bytes are those of one thread. A 1D field never submits.
 
     The blend of the last query time is kept for the next query; the field
     is not changed after construction, so that one entry never goes stale.
@@ -127,15 +172,24 @@ class GuidingField:
                                 for a in amp.reshape(len(amp), -1).max(1)]
             gate = self._gate[part].reshape((-1,) + (1,) * dim)
             rho = np.square(amp, out=amp)
-            v = wave_velocity_grids(values, self.grid, rho, self.mass,
-                                    self.hbar, floor_rho=0.01 * gate)
-            for coef, va in zip(self._v_coef, v):
-                for a in range(1, dim + 1):
-                    va = ndimage.spline_filter1d(va, 3, a, output=coef[part],
-                                                 mode="grid-wrap")
-            self._unsafe[part] = _cell_min(rho) <= gate * (1.0 + _CERT_MARGIN)
+            bad = rho < 0.01 * gate
+            job = _start_axis_1(self._build_axis, dim, part, values, bad)
+            try:
+                self._build_axis(0, part, values, bad)
+                self._unsafe[part] = (_cell_min(rho)
+                                      <= gate * (1.0 + _CERT_MARGIN))
+            finally:
+                _join(job)
         self._cell_max = np.array(self.grid.shape, dtype=float)[:, None] - 1.0
         self._last_blend = None
+
+    def _build_axis(self, a: int, part: slice, values: np.ndarray,
+                    bad: np.ndarray) -> None:
+        """Axis a's prefiltered velocity grids of the stack ``values``."""
+        va = _velocity_axis(values, self.grid, bad, a, self.hbar / self.mass)
+        for ax in range(1, self.grid.dim + 1):
+            va = ndimage.spline_filter1d(va, 3, ax, mode="grid-wrap",
+                                         output=self._v_coef[a][part])
 
     def _coords(self, x: np.ndarray) -> np.ndarray:
         return self.grid.to_fractional_index(x).T
@@ -156,10 +210,14 @@ class GuidingField:
         if blend is None or blend.t != t:
             blend = self._last_blend = self._blend(t)
         v = np.empty(x.shape)
-        for a, c in enumerate(blend.v_coef):
-            ndimage.map_coordinates(c, coords, output=v[:, a], order=3,
-                                    mode="grid-wrap", prefilter=False)
-        return v, self._node_flags(coords, blend)
+        job = _start_axis_1(_interpolate, self.grid.dim, blend.v_coef, coords,
+                            v)
+        try:
+            _interpolate(0, blend.v_coef, coords, v)
+            flags = self._node_flags(coords, blend)
+        finally:
+            _join(job)
+        return v, flags
 
     def _node_flags(self, coords: np.ndarray, blend: "_Blend") -> np.ndarray:
         """Node flags at fractional indices coords (dim, N). An index can
@@ -209,11 +267,22 @@ class GuidingField:
         w = np.zeros(m)
         np.add.at(w, [k, k + 1, k + 1, a, b, k],
                   [h00, h01, c_k, -c_k, c_k1, -c_k1])
-        near, flat = slice(a, b + 1), (b + 1 - a, -1)
-        v_coef = [(w[near] @ c[near].reshape(flat)).reshape(self.grid.shape)
-                  for c in self._v_coef]
+        near = slice(a, b + 1)
+        w = w[near]
+        v_coef = [None] * self.grid.dim
+        job = _start_axis_1(self._blend_axis, self.grid.dim, w, near, v_coef)
+        try:
+            self._blend_axis(0, w, near, v_coef)
+        finally:
+            _join(job)
         gate = (1 - s) * self._gate[k] + s * self._gate[k + 1]
         return _Blend(t, v_coef, k, k + 1, s, gate)
+
+    def _blend_axis(self, a: int, w: np.ndarray, near: slice,
+                    out: list) -> None:
+        """out[a] = the weights w times axis a's coefficient grids near."""
+        c = self._v_coef[a][near]
+        out[a] = (w @ c.reshape(len(w), -1)).reshape(self.grid.shape)
 
 
 @dataclass(slots=True)

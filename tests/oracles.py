@@ -14,6 +14,9 @@ that the in-place ``scipy.fft`` loop of ``propagate`` replaced,
 ``numpy_free_flight``, the one-shot free evolution on ``numpy.fft``, and
 ``savetxt_wave_field``, the field file as ``np.savetxt`` writes it, which
 the per-axis prefixes of ``io.dump_wave_field`` replaced.
+``expectation_energy``, <H> of a field from its ``numpy.fft`` spectrum and
+the potential on the grid, is the conserved energy the propagation tests
+read.
 
 The guidance law's second form lives here too. ``GuidingField`` reads the
 velocity as (hbar/m) Im(grad psi / psi) from the wave field alone;
@@ -278,6 +281,18 @@ def numpy_free_flight(values, k_squared, dt, steps, stride, hbar=1.0,
     for step in [*range(stride, steps, stride), steps] if steps else []:
         out.append(np.fft.ifftn(spec0 * np.exp(-1j * (rate * (step * dt)))))
     return out
+
+
+def expectation_energy(psi, potential, mass=1.0, hbar=1.0):
+    """<H> = kinetic (in k-space, numpy.fft) + potential expectation."""
+    grid = psi.grid
+    spec = np.fft.fftn(psi.values)
+    # Parseval: sum|fft|^2 * dv / N integrates |psi_hat|^2 consistently
+    weight = grid.cell_volume / grid.size
+    kinetic = ((hbar**2 / (2.0 * mass))
+               * float(np.sum(grid.k_squared() * np.abs(spec) ** 2)) * weight)
+    pot = grid.integrate(potential.as_field(grid) * np.abs(psi.values) ** 2)
+    return kinetic + pot
 
 
 def fd_gradient(values, grid, axis=0):

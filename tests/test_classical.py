@@ -311,6 +311,14 @@ def test_caustic_between_records_is_raised_at_its_time(gaussian_density):
                           gaussian_density.values)
 
 
+def test_transport_refuses_a_density_that_is_not_a_real_field(
+        gaussian_density):
+    action = PlaneWaveAction([2.0], 1.0)
+    with pytest.raises(TypeError, match="RealField density first, not "
+                                        "PlaneWaveAction"):
+        pw.transport_classical(action, gaussian_density, t_end=1.0)
+
+
 def test_transport_is_1d_only():
     g2 = pw.SpatialGrid((32, 32), ((-5.0, 5.0), (-5.0, 5.0)))
     rho = np.full(g2.shape, 1.0 / 100.0)

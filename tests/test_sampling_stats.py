@@ -121,6 +121,20 @@ def test_born_sampling_2d_refuses_zero_density():
         pw.born_sample(pw.WaveField(g, np.zeros(g.shape)), 10, seed=0)
 
 
+def test_born_sample_refuses_a_negative_count(grid1d):
+    psi = pw.gaussian_packet(grid1d, 0.0, 1.0)
+    with pytest.raises(ValueError, match="n >= 0 draws, got -1"):
+        pw.born_sample(psi, -1, seed=0)
+    assert pw.born_sample(psi, 0, seed=0).shape == (0, 1)
+
+
+def test_ks_statistic_refuses_an_empty_sample(grid1d):
+    """An ensemble whose members have all halted leaves an empty sample."""
+    rho = pw.density(pw.gaussian_packet(grid1d, 0.0, 1.0))
+    with pytest.raises(ValueError, match="at least one sample"):
+        pw.ks_statistic(np.empty(0), rho)
+
+
 def test_chi_square_gof_refuses_too_few_samples(grid1d):
     """Three samples cannot fill two bins of expected count 5: no degrees
     of freedom, so no p-value to gate on."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pilotwave as pw
-from oracles import free_gaussian_psi, free_gaussian_sigma
+from oracles import expectation_energy, free_gaussian_psi, free_gaussian_sigma
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ def test_energy_conservation(ho_grid):
     psi0 = pw.gaussian_packet(ho_grid, 2.0, np.sqrt(0.5))
     cfg = pw.PropagatorConfig(dt=1e-3, steps=1000, snapshot_stride=100)
     snaps = pw.propagate(psi0, pot, cfg)
-    energies = [pw.expectation_energy(s, pot) for s in snaps]
+    energies = [expectation_energy(s, pot) for s in snaps]
     drift = (max(energies) - min(energies)) / abs(energies[0])
     assert drift < 1e-6
 

@@ -1,4 +1,8 @@
+import multiprocessing
+import sys
+import threading
 import warnings
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from scipy import ndimage
 
 import pilotwave as pw
+from pilotwave import trajectories
 from pilotwave.operators import snapshot_stacks
 from pilotwave.scenarios import load_config
 from pilotwave.trajectories import (
@@ -818,3 +823,181 @@ def test_retries_are_rk4_steps_of_dt_over_2_and_dt_over_4():
         assert not flagged
         assert np.allclose(res.positions[-1, i], x_ref[0], rtol=1e-15,
                            atol=0.0)
+
+
+# -- the 2D per-axis split: axis 1 on the module's worker, axis 0 here -------
+
+class _SerialPool:
+    """Runs a submitted call at once on the caller (axis 1 before axis 0)."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class _RefusingPool:
+    def submit(self, fn, *args):
+        raise AssertionError("submitted to the axis worker")
+
+
+def _split_query_points(grid, n=400, seed=3):
+    """Points in the box, then its corners and seams, points off the box
+    and NaN on either axis."""
+    lo, hi = np.asarray(grid.qmin), np.asarray(grid.qmax)
+    span = hi - lo
+    rng = np.random.default_rng(seed)
+    extra = np.array([lo, hi, [lo[0], 0.3], [0.3, hi[1]], hi - 1e-12,
+                      lo - 0.7 * span, hi + 2.5 * span, [np.nan, 0.2],
+                      [0.2, np.nan], [np.nan, np.nan]])
+    return np.concatenate([lo + span * rng.random((n, 2)), extra])
+
+
+def test_2d_build_matches_one_axis_at_a_time():
+    snaps = _interfering_snapshots(2)
+    gf = GuidingField(snaps, node_eps=0.05)
+    assert gf._unsafe.any() and not gf._unsafe.all()
+    for part, values in snapshot_stacks(snaps):
+        amp = np.abs(values)
+        gate = np.array([(gf.node_eps * float(a)) ** 2
+                         for a in amp.reshape(len(amp), -1).max(1)])
+        assert gf._gate[part].tobytes() == gate.tobytes()
+        rho = np.square(amp)
+        gate = gate.reshape(-1, 1, 1)
+        v = wave_velocity_grids(values, gf.grid, rho, gf.mass, gf.hbar,
+                                floor_rho=0.01 * gate)
+        for a, va in enumerate(v):
+            for axis in (1, 2):
+                va = ndimage.spline_filter1d(va, 3, axis, mode="grid-wrap")
+            assert gf._v_coef[a][part].tobytes() == va.tobytes()
+        corners = np.minimum.reduce([np.roll(rho, (-i, -j), axis=(1, 2))
+                                     for i in (0, 1) for j in (0, 1)])
+        unsafe = corners <= gate * (1.0 + trajectories._CERT_MARGIN)
+        assert gf._unsafe[part].tobytes() == unsafe.tobytes()
+
+
+def test_2d_velocity_matches_serial_axes(monkeypatch):
+    snaps = _interfering_snapshots(2)
+    gf = GuidingField(snaps, node_eps=0.05)
+    with monkeypatch.context() as m:
+        m.setattr(trajectories, "_AXIS_POOL", _SerialPool())
+        serial = GuidingField(snaps, node_eps=0.05)
+    for c, c_serial in zip(gf._v_coef, serial._v_coef):
+        assert c.tobytes() == c_serial.tobytes()
+    x = _split_query_points(gf.grid)
+    coords = gf._coords(x)
+    t = gf.times
+    flagged = 0
+    for when in (t[2], 0.5 * (t[2] + t[3]), t[-1]):
+        v, flags = gf.velocity(x, when)
+        blend = gf._blend(when)
+        want = np.column_stack([
+            ndimage.map_coordinates(c, coords, order=3, mode="grid-wrap",
+                                    prefilter=False) for c in blend.v_coef])
+        assert v.tobytes() == want.tobytes()
+        assert flags.tobytes() == gf._node_flags(coords, blend).tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(trajectories, "_AXIS_POOL", _SerialPool())
+            serial_blend = serial._blend(when)
+        for c, c_serial in zip(blend.v_coef, serial_blend.v_coef):
+            assert c.tobytes() == c_serial.tobytes()
+        flagged += np.count_nonzero(flags)
+    assert flagged
+
+
+def test_1d_field_runs_without_the_axis_worker(monkeypatch):
+    snaps = _interfering_snapshots(1)
+    x0 = np.linspace(-3.0, 3.0, 7)[:, None]
+
+    def run():
+        gf = GuidingField(snaps, node_eps=0.05)
+        v, flags = gf.velocity(x0, 0.5 * (gf.times[1] + gf.times[2]))
+        ens = integrate_ensemble(gf, x0, gf.times[0], gf.times[-1], 0.05)
+        return v, flags, ens.positions, ens.status, ens.halt_times
+
+    want = run()
+    monkeypatch.setattr(trajectories, "_AXIS_POOL", _RefusingPool())
+    for got, ref in zip(run(), want):
+        assert got.tobytes() == ref.tobytes()
+    with pytest.raises(AssertionError, match="axis worker"):
+        GuidingField(_interfering_snapshots(2)[:1])
+
+
+def test_an_exception_on_the_axis_worker_reaches_the_caller(monkeypatch):
+    snaps = _interfering_snapshots(2)
+    gf = GuidingField(snaps, node_eps=0.05)
+    x = _split_query_points(gf.grid, n=50)
+    want = gf.velocity(x, gf.times[1])
+    interpolate, raised_on = trajectories._interpolate, []
+
+    def failing(a, *args):
+        if a == 1:
+            raised_on.append(threading.current_thread())
+            raise RuntimeError("axis 1 failed")
+        return interpolate(a, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(trajectories, "_interpolate", failing)
+        with pytest.raises(RuntimeError, match="axis 1 failed"):
+            gf.velocity(x, gf.times[1])
+    assert raised_on and raised_on[0] is not threading.current_thread()
+    for got, ref in zip(gf.velocity(x, gf.times[1]), want):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_threads_sharing_a_2d_field_read_the_serial_bytes():
+    """More callers than cores on one field and the one worker, switching
+    threads every microsecond: every query still reads its serial bytes."""
+    snaps = _interfering_snapshots(2)
+    gf = GuidingField(snaps, node_eps=0.05)
+    x = _split_query_points(gf.grid, n=200)
+    times = _query_times(gf.times)
+    ref = GuidingField(snaps, node_eps=0.05)
+    want = [b"".join(a.tobytes() for a in ref.velocity(x, t)) for t in times]
+    bad, errors = [], []
+
+    def caller(shift):
+        try:
+            for i in [*range(shift, len(times)), *range(shift)] * 2:
+                got = b"".join(a.tobytes() for a in gf.velocity(x, times[i]))
+                if got != want[i]:
+                    bad.append(i)
+        except Exception as exc:   # reported below, not lost in the thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,))
+                   for k in range(4)]
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(c.is_alive() for c in callers)
+    assert errors == [] and bad == []
+
+
+def _query_in_child(gf, x, t, want):
+    assert gf.velocity(x, t)[0].tobytes() == want
+
+
+def test_a_forked_child_gets_its_own_axis_worker():
+    """The parent's worker thread is not copied into a forked child; the
+    child's first 2D query must not wait on it."""
+    snaps = _interfering_snapshots(2)
+    gf = GuidingField(snaps)
+    x = _split_query_points(gf.grid, n=50)
+    want = gf.velocity(x, gf.times[3])[0].tobytes()
+    child = multiprocessing.get_context("fork").Process(
+        target=_query_in_child, args=(gf, x, gf.times[3], want))
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung
+    assert child.exitcode == 0

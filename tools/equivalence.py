@@ -12,7 +12,10 @@ strictly one at a time:
   ``PILOTWAVE_OUTPUT_ROOT`` set to a fresh directory per side; every file
   written there (the CSVs and ``report.json``) is hashed;
 - each ``demos/*.py`` in a subprocess, without options; its stdout is
-  hashed.
+  hashed;
+- ``tools/equiv_2d.py`` of this checkout (the configs and demos are all
+  1D) against the export's ``src/``; each line it prints, ``<output>
+  <sha256>``, is recorded as the file ``tools/equiv_2d.py:<output>``.
 
 A file is "same" when both sides wrote it with equal bytes, "differs" when
 both wrote it with other bytes, and "parent only" or "change only" when one
@@ -34,6 +37,8 @@ from pathlib import Path
 
 from bench_pairs import ROOT, SIDES, export
 
+BATTERY = ROOT / "tools" / "equiv_2d.py"
+
 
 def parse(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -51,8 +56,9 @@ def sha256(data: bytes) -> str:
 
 
 def run_side(tree: Path, out: Path):
-    """Run every config and demo of one export, one at a time; returns
-    ({file name: sha256}, {run name: exit code}, seconds)."""
+    """Run every config and demo of one export, then the 2D battery, one
+    at a time; returns ({file name: sha256}, {run name: exit code},
+    seconds)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PILOTWAVE_OUTPUT_ROOT=str(out))
     hashes, exits = {}, {}
@@ -72,6 +78,14 @@ def run_side(tree: Path, out: Path):
                               stderr=subprocess.DEVNULL)
         exits[name] = proc.returncode
         hashes[f"{name}:stdout"] = sha256(proc.stdout)
+    name = BATTERY.relative_to(ROOT).as_posix()
+    proc = subprocess.run([sys.executable, str(BATTERY)], cwd=tree, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          text=True)
+    exits[name] = proc.returncode
+    for line in proc.stdout.splitlines():
+        output, digest = line.split()
+        hashes[f"{name}:{output}"] = digest
     return hashes, exits, time.perf_counter() - start
 
 
@@ -115,8 +129,9 @@ def main(argv=None):
         "script": "tools/equivalence.py",
         "runs": ("each configs/*.yaml through python3 -m pilotwave.cli run "
                  "with PILOTWAVE_OUTPUT_ROOT set, then each demos/*.py "
-                 "without options, strictly one at a time; each side in a "
-                 "git archive export of its commit"),
+                 "without options, then tools/equiv_2d.py of the "
+                 "checkout against the export's src/, strictly one at a "
+                 "time; each side in a git archive export of its commit"),
         "identical": counts == {"same": len(files)} and not exit_differs,
         "counts": counts,
         "exit_codes": exits,
