@@ -19,6 +19,7 @@ the library's own check. Runners build from validated values.
 
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -102,6 +103,14 @@ def _type_ok(value, type_):
     raise TypeError(f"unsupported schema type {type_!r}")
 
 
+def _finite(value, type_):
+    """A float (or each entry of a float list) is no inf, nan or int beyond
+    float range; an int compares with a float exactly."""
+    if type_ == ("list", float):
+        return all(_finite(v, float) for v in value)
+    return type_ is not float or abs(value) <= sys.float_info.max
+
+
 class Section(dict):
     """A schema section plus its cross-key rules, each called as
     ``rule(section, path)`` once the section's keys are valid."""
@@ -133,6 +142,9 @@ def validate_section(cfg, schema, path=""):
         if not _type_ok(value, spec.type_):
             raise ConfigError(
                 f"`{full}` has wrong type (expected {spec.type_})", path=full)
+        if not _finite(value, spec.type_):
+            raise ConfigError(f"`{full}` must be finite, not inf, nan or "
+                              "beyond float range", path=full)
         if spec.choices is not None and value not in spec.choices:
             raise ConfigError(
                 f"`{full}` must be one of {spec.choices}", path=full)
@@ -632,7 +644,12 @@ REGISTRY = {
 
 def load_config(path) -> dict:
     with open(path) as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            # one line: the parser's message spans several
+            raise ConfigError(f"{path} is not valid YAML: "
+                              + " ".join(str(exc).split())) from None
     if not isinstance(cfg, dict):
         raise ConfigError("config file must contain a mapping")
     return cfg

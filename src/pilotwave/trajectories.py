@@ -64,41 +64,25 @@ _new_axis_pool()
 os.register_at_fork(after_in_child=_new_axis_pool)
 
 
-def _start_axis_1(fn, dim: int, *args):
-    """Submit fn(1, *args) to the axis worker on a 2D grid; None in 1D.
-    fn must call no public function of the package: a tracer that wraps
-    those keeps one span stack per process."""
-    return _AXIS_POOL.submit(fn, 1, *args) if dim == 2 else None
-
-
-def _join(job) -> None:
-    """Wait for a job of ``_start_axis_1``, raising what it raised."""
-    if job is not None:
-        job.result()
-
-
-def _velocity_axis(values, grid, bad, a: int, scale: float) -> np.ndarray:
-    """scale * Im(d_a psi / psi), zeroed where ``bad``."""
-    dpsi = spectral_gradient(values, grid, axis=a)
-    np.divide(dpsi, values, out=dpsi, where=~bad)
-    v = scale * dpsi.imag
-    v[bad] = 0.0
-    return v
+def _each_axis(dim: int, fn, *args, beside=lambda: None):
+    """fn(a, *args) for every axis a, then beside(), whose value it returns.
+    On a 2D grid fn(1, *args) runs on the axis worker while the caller runs
+    fn(0, *args) and beside; the caller always waits for the worker and
+    raises what it raised. fn must call no public function of the package:
+    a tracer that wraps those keeps one span stack per process."""
+    job = _AXIS_POOL.submit(fn, 1, *args) if dim == 2 else None
+    try:
+        fn(0, *args)
+        return beside()
+    finally:
+        if job is not None:
+            job.result()
 
 
 def _interpolate(a: int, v_coef, coords: np.ndarray, v: np.ndarray) -> None:
     """Cubic interpolation of axis a's coefficient grid into v[:, a]."""
     ndimage.map_coordinates(v_coef[a], coords, output=v[:, a], order=3,
                             mode="grid-wrap", prefilter=False)
-
-
-def wave_velocity_grids(values: np.ndarray, grid: SpatialGrid, rho: np.ndarray,
-                        mass: float, hbar: float, floor_rho) -> list[np.ndarray]:
-    """Guiding velocity (hbar/m) Im(grad psi / psi) of one field's values or a
-    stack of them, zeroed where rho = |psi|^2 lies below floor_rho."""
-    bad = rho < floor_rho
-    return [_velocity_axis(values, grid, bad, a, hbar / mass)
-            for a in range(grid.dim)]
 
 
 class GuidingField:
@@ -126,9 +110,9 @@ class GuidingField:
     time; every flag has the value the full interpolation gives. A build
     reads ``snapshot_stacks``; what it keeps per point is unchanged.
 
-    On a 2D grid the per-axis work runs on two threads: axis 1 on one
-    module-level worker, axis 0 (with the gates, the unsafe-cell grids and
-    the node flags) on the caller. That work is each axis's spectral
+    On a 2D grid ``_each_axis`` runs the per-axis work on two threads: axis
+    1 on one module-level worker, axis 0 (with the gates, the unsafe-cell
+    grids and the node flags) on the caller. That work is each axis's spectral
     gradient, divide and spline prefilter in the build, its gemv in the
     time blend and its cubic interpolation in a query; numpy and scipy
     release the GIL in all of them. Each thread makes the calls a serial
@@ -173,26 +157,23 @@ class GuidingField:
             gate = self._gate[part].reshape((-1,) + (1,) * dim)
             rho = np.square(amp, out=amp)
             bad = rho < 0.01 * gate
-            job = _start_axis_1(self._build_axis, dim, part, values, bad)
-            try:
-                self._build_axis(0, part, values, bad)
-                self._unsafe[part] = (_cell_min(rho)
-                                      <= gate * (1.0 + _CERT_MARGIN))
-            finally:
-                _join(job)
+            self._unsafe[part] = _each_axis(
+                dim, self._build_axis, part, values, bad,
+                beside=lambda: _cell_min(rho) <= gate * (1.0 + _CERT_MARGIN))
         self._cell_max = np.array(self.grid.shape, dtype=float)[:, None] - 1.0
         self._last_blend = None
 
     def _build_axis(self, a: int, part: slice, values: np.ndarray,
                     bad: np.ndarray) -> None:
-        """Axis a's prefiltered velocity grids of the stack ``values``."""
-        va = _velocity_axis(values, self.grid, bad, a, self.hbar / self.mass)
+        """Axis a's prefiltered velocity grids of the stack ``values``:
+        (hbar/m) Im(d_a psi / psi), zeroed where ``bad``."""
+        dpsi = spectral_gradient(values, self.grid, axis=a)
+        np.divide(dpsi, values, out=dpsi, where=~bad)
+        va = self.hbar / self.mass * dpsi.imag
+        va[bad] = 0.0
         for ax in range(1, self.grid.dim + 1):
             va = ndimage.spline_filter1d(va, 3, ax, mode="grid-wrap",
                                          output=self._v_coef[a][part])
-
-    def _coords(self, x: np.ndarray) -> np.ndarray:
-        return self.grid.to_fractional_index(x).T
 
     def velocity(self, x: np.ndarray, t: float):
         """Velocities and node flags at positions x (N, dim) and time t.
@@ -204,19 +185,14 @@ class GuidingField:
         if x.shape[1] != self.grid.dim:
             raise ValueError(f"query points of dimension {x.shape[1]} on a "
                              f"{self.grid.dim}D field")
-        coords = self._coords(x)
+        coords = self.grid.to_fractional_index(x).T
         t = float(t)
         blend = self._last_blend
         if blend is None or blend.t != t:
             blend = self._last_blend = self._blend(t)
         v = np.empty(x.shape)
-        job = _start_axis_1(_interpolate, self.grid.dim, blend.v_coef, coords,
-                            v)
-        try:
-            _interpolate(0, blend.v_coef, coords, v)
-            flags = self._node_flags(coords, blend)
-        finally:
-            _join(job)
+        flags = _each_axis(self.grid.dim, _interpolate, blend.v_coef, coords,
+                           v, beside=lambda: self._node_flags(coords, blend))
         return v, flags
 
     def _node_flags(self, coords: np.ndarray, blend: "_Blend") -> np.ndarray:
@@ -270,11 +246,7 @@ class GuidingField:
         near = slice(a, b + 1)
         w = w[near]
         v_coef = [None] * self.grid.dim
-        job = _start_axis_1(self._blend_axis, self.grid.dim, w, near, v_coef)
-        try:
-            self._blend_axis(0, w, near, v_coef)
-        finally:
-            _join(job)
+        _each_axis(self.grid.dim, self._blend_axis, w, near, v_coef)
         gate = (1 - s) * self._gate[k] + s * self._gate[k + 1]
         return _Blend(t, v_coef, k, k + 1, s, gate)
 

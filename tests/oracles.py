@@ -6,8 +6,10 @@ cross-check rather than a tautology. The exceptions are reference
 algorithms kept beside the faster package code they check:
 ``per_snapshot_hermite_velocity``, an evaluation order for
 ``GuidingField.velocity`` that reads the field's own grids,
-``full_node_flags`` and ``certified_points``, the node gate without the
-safe-cell certificate and the certificate corner by corner,
+``wave_velocity_grids``, the velocity grids of a ``GuidingField`` build
+one axis after another on one thread, ``full_node_flags`` and
+``certified_points``, the node gate without the safe-cell certificate and
+the certificate corner by corner,
 ``heap_unwrap_2d``, the cell-by-cell walk that the spanning-tree unwrap of
 ``to_polar`` replaced, ``numpy_split_step``, the ``numpy.fft`` loop
 that the in-place ``scipy.fft`` loop of ``propagate`` replaced,
@@ -330,6 +332,22 @@ def phase_winding(theta, grid, axis=0):
     step = wrap_angle(np.roll(theta, -1, axis=axis) - theta)
     total = step.sum(axis=axis) / _TWO_PI
     return int(np.round(np.mean(total)))
+
+
+def wave_velocity_grids(values, grid, rho, mass, hbar, floor_rho):
+    """Guiding velocity (hbar/m) Im(grad psi / psi) of one field's values or a
+    stack of them, zeroed where rho = |psi|^2 lies below floor_rho: one axis
+    after another on one thread, as ``GuidingField`` built it before its
+    axes ran on two."""
+    bad = rho < floor_rho
+    out = []
+    for a in range(grid.dim):
+        dpsi = spectral_gradient(values, grid, axis=a)
+        np.divide(dpsi, values, out=dpsi, where=~bad)
+        v = (hbar / mass) * dpsi.imag
+        v[bad] = 0.0
+        out.append(v)
+    return out
 
 
 def polar_velocity_grids(polar, mass):

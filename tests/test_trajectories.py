@@ -17,7 +17,6 @@ from pilotwave.trajectories import (
     GuidingField,
     _integrate,
     integrate_ensemble,
-    wave_velocity_grids,
 )
 from oracles import (
     certified_points,
@@ -27,6 +26,7 @@ from oracles import (
     full_node_flags,
     per_snapshot_hermite_velocity,
     polar_velocity_grids,
+    wave_velocity_grids,
 )
 
 
@@ -885,7 +885,7 @@ def test_2d_velocity_matches_serial_axes(monkeypatch):
     for c, c_serial in zip(gf._v_coef, serial._v_coef):
         assert c.tobytes() == c_serial.tobytes()
     x = _split_query_points(gf.grid)
-    coords = gf._coords(x)
+    coords = gf.grid.to_fractional_index(x).T
     t = gf.times
     flagged = 0
     for when in (t[2], 0.5 * (t[2] + t[3]), t[-1]):

@@ -22,6 +22,8 @@ both wrote it with other bytes, and "parent only" or "change only" when one
 side did not write it. The exit code of every run is recorded too. The
 two commits are "identical" when every file is "same" and every run exits
 with the same code on both sides; runs whose codes differ are listed.
+Each side's ``src_lines``, the newline count of its export's
+``src/pilotwave/*.py``, is printed and recorded beside the verdict.
 """
 
 import argparse
@@ -53,6 +55,11 @@ def parse(argv):
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def src_lines(tree: Path) -> int:
+    return sum(p.read_bytes().count(b"\n")
+               for p in (tree / "src" / "pilotwave").glob("*.py"))
 
 
 def run_side(tree: Path, out: Path):
@@ -103,14 +110,15 @@ def main(argv=None):
     if work == ROOT or ROOT in work.parents:
         raise SystemExit("--workdir must lie outside the repository")
     work.mkdir(parents=True, exist_ok=True)
-    shas, sides = {}, {}
+    shas, sides, lines = {}, {}, {}
     for s in SIDES:
         tree, out = work / s, work / f"{s}-out"
         shas[s] = export(getattr(args, s), tree)
+        lines[s] = src_lines(tree)
         shutil.rmtree(out, ignore_errors=True)
         sides[s] = run_side(tree, out)
-        print(f"{s}: {len(sides[s][0])} files in {sides[s][2]:.1f} s",
-              flush=True)
+        print(f"{s}: {len(sides[s][0])} files in {sides[s][2]:.1f} s, "
+              f"src_lines {lines[s]}", flush=True)
 
     names = sorted(set(sides["parent"][0]) | set(sides["change"][0]))
     files = {}
@@ -137,6 +145,7 @@ def main(argv=None):
         "exit_codes": exits,
         "exit_differs": exit_differs,
         "seconds": {s: round(sides[s][2], 1) for s in SIDES},
+        "src_lines": lines,
         "files": files,
     }
     dest = ROOT / f"EQUIV_{args.label}.json"
