@@ -149,40 +149,35 @@ def test_cli_malformed_yaml_exit_two(tmp_path, capsys, command, text):
     assert "not valid YAML" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("name, key, value", [
-    ("continuity-residual", "run.T", float("inf")),
-    ("continuity-residual", "run.dt", float("inf")),
-    ("holland-nonuniqueness", "run.T", float("inf")),
-    ("holland-nonuniqueness", "classical.q0", -float("inf")),
-    ("continuity-residual", "state.center", float("nan")),
-    ("continuity-residual", "grid.qmax", 10**400),
-    ("reconstruction-bundle", "bundle.deltas", [0.2, float("nan"), 0.05]),
-    ("semiclassical-sweep", "physics.hbars", [1.0, float("inf")]),
+@pytest.mark.parametrize("name, section, key, value", [
+    ("continuity-residual", "run", "T", float("inf")),
+    ("continuity-residual", "run", "dt", float("inf")),
+    ("holland-nonuniqueness", "run", "T", float("inf")),
+    ("holland-nonuniqueness", "classical", "q0", -float("inf")),
+    ("continuity-residual", "state", "center", float("nan")),
+    ("continuity-residual", "grid", "qmax", 10**400),
+    ("reconstruction-bundle", "bundle", "deltas", [0.2, float("nan"), 0.05]),
+    ("semiclassical-sweep", "physics", "hbars", [1.0, float("inf")]),
 ], ids=["continuity-T-inf", "continuity-dt-inf", "holland-T-inf",
         "holland-q0-minus-inf", "continuity-center-nan",
         "continuity-qmax-huge-int", "bundle-deltas-nan", "hbars-inf"])
 @pytest.mark.parametrize("command", ["check", "run"])
-def test_cli_non_finite_float_exit_two(tmp_path, capsys, name, key, value,
-                                       command):
+def test_cli_non_finite_float_exit_two(tmp_path, capsys, name, section, key,
+                                       value, command):
     """A float key, or an entry of a float list, that is inf, nan or an int
     beyond float range is refused by ``check`` and ``run`` alike, naming
     the key."""
-    *parents, leaf = key.split(".")
-    cfg = _edited(name, lambda c: _section(c, parents).update({leaf: value}))
+    cfg = _edited(name, lambda c: c[section].update({key: value}))
     cfg["output"]["directory"] = str(tmp_path / "out")
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert cli.main([command, str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error (at `{key}`): `{key}` must be finite")
+    full = f"{section}.{key}"
+    assert err.startswith(f"config error (at `{full}`): `{full}` must be "
+                          "finite")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
-
-
-def _section(cfg, parents):
-    for part in parents:
-        cfg = cfg[part]
-    return cfg
 
 
 def test_cli_failing_scenario_exit_one(tmp_path, capsys):
