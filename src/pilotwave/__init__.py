@@ -27,7 +27,6 @@ from .errors import (
     EdgeLeakWarning,
     GridTooCoarseError,
     InsufficientBundleError,
-    NodeProximityError,
     PilotwaveError,
     PreparationMismatchError,
     ScenarioFailure,
@@ -78,7 +77,6 @@ from .trajectories import (
     divergence_experiment,
     integrate_trajectory,
     propagate_ensemble,
-    velocity_at,
 )
 
 __version__ = "0.1.0"

@@ -26,8 +26,8 @@ from .trajectories import (
     GuidingField,
     Trajectory,
     _integrate,
+    _start_momentum,
     integrate_trajectory,
-    velocity_at,
 )
 
 
@@ -340,9 +340,11 @@ def semiclassical_compare(psi_family: dict[float, "WaveField"],
 
     Each family member shares the initial amplitude and action with the
     classical preparation; only the dynamics, free on both sides, scale
-    with hbar. Entries run in decreasing-hbar order. The classical start
-    momentum is ``p0`` when given (``ClassicalState`` holds it to the
-    action's gradient), else the gradient, which raises where undefined.
+    with hbar. Entries run in decreasing-hbar order. The start momentum
+    m v(q0) of the field each member's path integrates (``_start_momentum``)
+    must match the classical ``p0``, or else the action's gradient (which
+    raises where undefined), to 1e-6; PreparationMismatchError otherwise,
+    naming the hbar, or where q0 sits in a node gate.
     """
     hbars = sorted(psi_family, reverse=True)
     mass = classical_state.action.mass
@@ -353,19 +355,17 @@ def semiclassical_compare(psi_family: dict[float, "WaveField"],
                                                 classical_state.t0)[0]
     errors = []
     for hbar in hbars:
-        # the family must share the classical preparation's phase gradient
-        p_psi = mass * velocity_at(psi_family[hbar], classical_state.q0,
-                                   mass=mass, hbar=hbar)
+        cfg = PropagatorConfig(dt=dt, steps=int(round(t_end / dt)), hbar=hbar,
+                               mass=mass, snapshot_stride=snapshot_stride)
+        snaps = propagate(psi_family[hbar], FreePotential(), cfg)
+        gf = GuidingField(snaps, mass=mass, hbar=hbar)
+        p_psi = _start_momentum(gf, classical_state.q0)
         if np.max(np.abs(p_psi - p_cls)) > 1e-6:
             raise PreparationMismatchError(
                 f"family member hbar={hbar:g} has phase gradient {p_psi} at "
                 f"q0, classical action gives {p_cls}"
             )
-        cfg = PropagatorConfig(dt=dt, steps=int(round(t_end / dt)), hbar=hbar,
-                               mass=mass, snapshot_stride=snapshot_stride)
-        snaps = propagate(psi_family[hbar], FreePotential(), cfg)
-        traj = integrate_trajectory(GuidingField(snaps, mass=mass, hbar=hbar),
-                                    classical_state.q0, dt_traj)
+        traj = integrate_trajectory(gf, classical_state.q0, dt_traj)
         if traj.halted:
             raise ValueError(
                 f"guided trajectory halted at t = {traj.halt_time:g} for "

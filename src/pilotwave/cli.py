@@ -7,8 +7,8 @@
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid config. A
 config that passes ``check`` but that the library refuses during the run
 (a ValueError, or a package error such as BundleCrossingError) also exits
-2, with one line on stderr, and so does an output directory that cannot be
-written (an OSError, raised after the computation).
+2, with one line on stderr, and so do an output directory that cannot be
+written (an OSError, raised after the computation) and a MemoryError.
 The environment variable PILOTWAVE_OUTPUT_ROOT prepends a root to relative
 output directories.
 """
@@ -40,10 +40,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         name = validate_config(cfg)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, MemoryError) as exc:
         path = getattr(exc, "path", None)
         loc = f" (at `{path}`)" if path else ""
-        print(f"config error{loc}: {exc}", file=sys.stderr)
+        print(f"config error{loc}: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 2
 
     if args.command == "check":
@@ -55,10 +56,10 @@ def main(argv=None) -> int:
     except ScenarioFailure as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    except (PilotwaveError, ValueError, OSError) as exc:
+    except (PilotwaveError, ValueError, OSError, MemoryError) as exc:
         # the config passed validate_config; a library precondition
-        # rejected a value (e.g. a bundle member halted at a node), or
-        # output.directory cannot be written
+        # rejected a value (e.g. a bundle member halted at a node),
+        # output.directory cannot be written, or a size was too large
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     for check in report["checks"]:

@@ -13,15 +13,6 @@ class GridTooCoarseError(PilotwaveError, ValueError):
     """A requested feature is narrower than the grid can resolve (a bad value)."""
 
 
-class NodeProximityError(PilotwaveError):
-    """Velocity requested where the interpolated |psi| is below the node threshold."""
-
-    def __init__(self, message, position=None, time=None):
-        super().__init__(message)
-        self.position = position
-        self.time = time
-
-
 class PreparationMismatchError(PilotwaveError):
     """Two initial states fail the matched phase-gradient precondition."""
 

@@ -294,8 +294,7 @@ def _born_ensemble(snaps, psi0, cfg):
         snaps, x0, run["dt_traj"], mass=cfg["physics"]["mass"],
         hbar=cfg["physics"]["hbar"],
         record_stride=int(round(run["snapshot_stride"] * run["dt"]
-                                / run["dt_traj"])),
-        seed=ens["seed"], sampler="born")
+                                / run["dt_traj"])))
 
 
 def _ks_rows(ens, snaps):

@@ -67,19 +67,17 @@ class FreePotential(Potential):
 
 
 class HarmonicPotential(Potential):
-    """V = (m omega^2 / 2) |q - center|^2."""
+    """V = (m omega^2 / 2) |q|^2."""
 
-    def __init__(self, omega: float, mass: float = 1.0, center=0.0):
+    def __init__(self, omega: float, mass: float = 1.0):
         if omega <= 0:
             raise ValueError("omega must be positive")
         self.omega = float(omega)
         self.mass = float(mass)
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
 
     def at(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        center = np.broadcast_to(self.center, (x.shape[1],))
-        return 0.5 * self.mass * self.omega**2 * np.sum((x - center) ** 2, axis=1)
+        return 0.5 * self.mass * self.omega**2 * np.sum(x ** 2, axis=1)
 
 
 @dataclass
@@ -240,7 +238,7 @@ def continuity_residual(snapshots: list[WaveField], mass: float = 1.0,
     Time derivative by central differences across neighboring snapshots,
     divergence spectrally in space; the result is second order in the
     snapshot spacing. It takes a stack of snapshots at a time with their two
-    neighbors, never |psi|^2 of all; each residual's bytes are unchanged.
+    neighbors, never |psi|^2 of all.
     """
     if len(snapshots) < 3:
         raise ValueError("need at least 3 consecutive snapshots")

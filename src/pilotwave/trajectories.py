@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import NodeProximityError, PreparationMismatchError
+from .errors import PreparationMismatchError
 from .fields import WaveField
 from .grid import SpatialGrid
 from .operators import snapshot_stacks, spectral_gradient
@@ -108,7 +108,7 @@ class GuidingField:
     recomputes |psi|^2 of snapshots k and k+1 from their values (one abs^2
     each, about 0.15 ms at 256^2) and blends it, at most once per query
     time; every flag has the value the full interpolation gives. A build
-    reads ``snapshot_stacks``; what it keeps per point is unchanged.
+    reads ``snapshot_stacks``.
 
     On a 2D grid ``_each_axis`` runs the per-axis work on two threads: axis
     1 on one module-level worker, axis 0 (with the gates, the unsafe-cell
@@ -283,38 +283,15 @@ def _cell_min(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def velocity_at(state, x, mass: float = 1.0, hbar: float = 1.0,
-                node_eps: float = 1e-6) -> np.ndarray:
-    """Guiding velocity at configuration x for a single field snapshot.
-
-    ``state`` is a WaveField, guided by (hbar/m) Im(grad psi / psi).
-    Raises NodeProximityError when x falls inside the node gate, and
-    ValueError when x's dimension is not the grid's.
-    """
-    gf = GuidingField([state], mass=mass, hbar=hbar, node_eps=node_eps)
-    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    v, flags = gf.velocity(x_arr, state.time)
-    if np.any(flags):
-        raise NodeProximityError(
-            "interpolated |psi| below node threshold at query point",
-            position=x_arr[flags][0], time=state.time,
-        )
-    if np.asarray(x).ndim <= 1:
-        return v[0]
-    return v
-
-
 @dataclass
 class Trajectory:
     """Time-stamped configuration path.
 
-    ``status`` is 'completed' or 'halted'; a halted trajectory records the
-    halt time and its arrays stop there.
+    A halted trajectory records its halt time, and its arrays stop there.
     """
 
     times: np.ndarray
     positions: np.ndarray
-    status: str = "completed"
     halt_time: float | None = None
     velocities: np.ndarray | None = None
 
@@ -330,7 +307,7 @@ class Trajectory:
 
     @property
     def halted(self) -> bool:
-        return self.status == "halted"
+        return self.halt_time is not None
 
 
 @dataclass
@@ -371,7 +348,7 @@ class EnsembleResult:
         if self.status[i] == 1:
             keep = self.times <= self.halt_times[i]
             return Trajectory(
-                self.times[keep], self.positions[keep, i], status="halted",
+                self.times[keep], self.positions[keep, i],
                 halt_time=float(self.halt_times[i]),
                 velocities=None if self.velocities is None
                 else self.velocities[keep, i],
@@ -545,6 +522,16 @@ def propagate_ensemble(snapshots, x0s: np.ndarray, dt_traj: float,
     return res
 
 
+def _start_momentum(gf: GuidingField, q0: np.ndarray) -> np.ndarray:
+    """m v(q0) at the field's first time, q0 of shape (dim,): the start
+    momentum a preparation gate compares; PreparationMismatchError where q0
+    sits in the node gate. The blend stays cached for a path's first step."""
+    v, flags = gf.velocity(q0[None], gf.times[0])
+    if flags[0]:
+        raise PreparationMismatchError("q0 sits in a node gate of a preparation")
+    return gf.mass * v[0]
+
+
 @dataclass
 class DivergenceReport:
     times: np.ndarray
@@ -566,16 +553,12 @@ def divergence_experiment(gf_a: GuidingField, gf_b: GuidingField, q0,
     preparations that share the initial phase gradient.
 
     ``gf_a`` / ``gf_b`` guide with the fields of two propagation runs,
-    each with its own mass and hbar. Their initial states must satisfy
-    |grad S_a - grad S_b| < 1e-8 at q0, checked as |m_a v_a - m_b v_b|;
-    PreparationMismatchError otherwise.
+    each with its own mass and hbar. Their start momenta m v(q0)
+    (``_start_momentum``) must agree, |grad S_a - grad S_b| < 1e-8 at q0;
+    PreparationMismatchError otherwise, or where q0 sits in a node gate.
     """
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    va, fa = gf_a.velocity(q0[None], gf_a.times[0])
-    vb, fb = gf_b.velocity(q0[None], gf_b.times[0])
-    if fa.any() or fb.any():
-        raise PreparationMismatchError("q0 sits in a node gate of a preparation")
-    p0_a, p0_b = gf_a.mass * va[0], gf_b.mass * vb[0]
+    p0_a, p0_b = _start_momentum(gf_a, q0), _start_momentum(gf_b, q0)
     grad_gap = float(np.linalg.norm(p0_a - p0_b))
     if grad_gap >= 1e-8:
         raise PreparationMismatchError(

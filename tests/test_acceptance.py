@@ -122,8 +122,7 @@ def test_criterion_05_divergence_pair(grid1d):
     snaps_b = pw.propagate(psi_b, pw.FreePotential(), cfg)
     rep = pw.divergence_experiment(pw.GuidingField(snaps_a),
                                    pw.GuidingField(snaps_b), [1.0], 0.01)
-    p0_a = pw.velocity_at(psi_a, [1.0])
-    p0_b = pw.velocity_at(psi_b, [1.0])
+    p0_a, p0_b = rep.p0_a, rep.p0_b
     ca = pw.classical_trajectory(
         ClassicalState([1.0], PlaneWaveAction(p0_a, 1.0), p0=p0_a), 2.0, 0.01)
     cb = pw.classical_trajectory(

@@ -71,7 +71,7 @@ def test_propagate_equals_numpy_split_step_bytes(shape, potential, stride):
     psi0 = pw.gaussian_packet(grid, [0.5] * dim, 2.0,
                               momentum=[np.pi / 2, -np.pi / 3][:dim])
     pot = (pw.FreePotential() if potential == "free"
-           else pw.HarmonicPotential(0.7, center=[0.3] * dim))
+           else pw.HarmonicPotential(0.7))
     # below the StepSizeWarning bound dx^2 m / (pi hbar)
     dt = 0.5 * float(np.min(grid.dx)) ** 2 / np.pi
     cfg = pw.PropagatorConfig(dt=dt, steps=15, snapshot_stride=stride)

@@ -157,7 +157,7 @@ def test_trajectory_dump_format(tmp_path):
     traj = pw.Trajectory(times=[0.0, 0.5, 1.0],
                          positions=[[0.1], [0.2], [0.3]])
     halted = pw.Trajectory(times=[0.0, 0.5], positions=[[1.0], [1.1]],
-                           status="halted", halt_time=0.5)
+                           halt_time=0.5)
     path = tmp_path / "traj.csv"
     pwio.dump_trajectories(path, [traj, halted])
     lines = path.read_text().strip().splitlines()

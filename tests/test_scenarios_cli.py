@@ -498,6 +498,41 @@ def test_cli_run_unwritable_output_exit_two(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_cli_check_memory_error_exit_two(tmp_path, capsys, monkeypatch):
+    """A MemoryError while the config is read is a refused value: one
+    stderr line and exit 2, not a traceback."""
+    def exhausted(cfg):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "validate_config", exhausted)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(_holland_cfg(tmp_path / "out")))
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: MemoryError\n"
+
+
+def test_cli_run_memory_error_exit_two(tmp_path, capsys, monkeypatch):
+    """``check`` sets no upper bound on an ensemble size; a Born sample too
+    large for memory stops ``run`` with one stderr line and exit 2. The
+    sampler is replaced, so nothing of that size is allocated."""
+    def exhausted(psi, n, seed):
+        raise MemoryError(f"cannot allocate {n} samples")
+
+    monkeypatch.setattr(scenarios, "born_sample", exhausted)
+    cfg = _edited("equivariance-free-gaussian",
+                  lambda c: c["ensemble"].update(N=10**12))
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: MemoryError: cannot allocate "
+                   "1000000000000 samples\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_ks_rows_halted_share_is_per_record():
     """Each row's halted share counts the members its KS sample leaves
     out: a member stays in the sample at its own halt record, so member 0,

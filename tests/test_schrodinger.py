@@ -191,10 +191,9 @@ _GRIDS = {1: pw.SpatialGrid(64, (-3.0, 5.0)),
 
 
 def _potentials(dim):
-    """One of each Potential subclass, the harmonic one off center and at
-    a mass other than 1."""
-    return [pw.FreePotential(),
-            pw.HarmonicPotential(1.3, mass=2.5, center=[0.4, -0.7][:dim])]
+    """One of each Potential subclass, the harmonic one at a mass other
+    than 1."""
+    return [pw.FreePotential(), pw.HarmonicPotential(1.3, mass=2.5)]
 
 
 @pytest.mark.parametrize("dim", [1, 2])

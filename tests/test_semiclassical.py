@@ -49,3 +49,26 @@ def test_narrow_packet_diagnostic_reports_curve(broad_grid):
     # the gap here shrinks roughly linearly in hbar, not quadratically:
     # the packet is far from the narrow-dispersion regime
     assert sweep.errors[0] / sweep.errors[1] < 3.0
+
+
+def test_member_off_the_classical_momentum_is_refused(broad_grid):
+    """Each member's start momentum is read from the field its path
+    integrates; one 1/8 off the classical p0 stops the sweep, naming its
+    hbar."""
+    family = _family(broad_grid, 8.0, 1.0)
+    family[0.5] = pw.gaussian_packet(broad_grid, 0.0, 8.0, momentum=1.125,
+                                     hbar=0.5)
+    state = ClassicalState([8.0], PlaneWaveAction([1.0], 1.0), p0=[1.0])
+    with pytest.raises(pw.PreparationMismatchError, match="hbar=0.5 "):
+        pw.semiclassical_compare(family, state, t_end=0.4, dt=2e-3,
+                                 dt_traj=0.02, snapshot_stride=20)
+
+
+def test_start_in_a_node_gate_is_refused(broad_grid):
+    """Far in a narrow packet's tail |psi| is below the gate: the wave
+    field sets no start momentum there, so the sweep refuses the start."""
+    family = _family(broad_grid, 0.5, 1.0)
+    state = ClassicalState([20.0], PlaneWaveAction([1.0], 1.0), p0=[1.0])
+    with pytest.raises(pw.PreparationMismatchError, match="node gate"):
+        pw.semiclassical_compare(family, state, t_end=0.4, dt=2e-3,
+                                 dt_traj=0.02, snapshot_stride=20)

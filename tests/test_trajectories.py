@@ -37,23 +37,25 @@ def circle():
 
 def test_plane_wave_velocity_constant(circle):
     psi = pw.plane_wave(circle, 2.0)
+    gf = GuidingField([psi], mass=1.0, hbar=1.0)
     for x in (0.0, 1.3, 5.9):
-        v = pw.velocity_at(psi, [x], mass=1.0, hbar=1.0)
-        assert abs(v[0] - 2.0) < 1e-9
+        v = gf.velocity([x], psi.time)[0]
+        assert abs(v[0, 0] - 2.0) < 1e-9
 
 
 def test_real_gaussian_velocity_zero(grid1d):
     psi = pw.gaussian_packet(grid1d, 0.0, 1.0)
-    v = pw.velocity_at(psi, [0.7])
-    assert abs(v[0]) < 1e-10
+    v = GuidingField([psi]).velocity([0.7], psi.time)[0]
+    assert abs(v[0, 0]) < 1e-10
 
 
 def test_spreading_gaussian_velocity_matches_analytic(grid1d):
     t, sigma0 = 2.0, 1.0
     q = grid1d.axes[0]
     psi_t = pw.WaveField(grid1d, free_gaussian_psi(q, t, sigma0), time=t)
+    gf = GuidingField([psi_t])
     for x in (-2.0, -0.5, 0.8, 1.9):
-        v = pw.velocity_at(psi_t, [x])[0]
+        v = gf.velocity([x], psi_t.time)[0][0, 0]
         exact = free_gaussian_velocity(x, t, sigma0)
         assert abs(v - exact) / abs(exact) < 1e-4
 
@@ -63,8 +65,9 @@ def test_velocity_routes_agree_off_nodes(free_gaussian_run):
     polar decomposition, the oracle grid interpolated at the same point."""
     last = free_gaussian_run[-1]
     (v_grid,) = polar_velocity_grids(pw.to_polar(last), 1.0)
+    gf = GuidingField([last])
     for x in np.linspace(-3.5, 3.5, 15):
-        v_wave = pw.velocity_at(last, [x])[0]
+        v_wave = gf.velocity([x], last.time)[0][0, 0]
         idx = last.grid.to_fractional_index(np.array([[x]])).T
         v_phase = ndimage.map_coordinates(v_grid, idx, order=3,
                                           mode="grid-wrap")[0]
@@ -77,15 +80,14 @@ def test_snapshots_other_than_wave_fields_are_refused(free_gaussian_run):
         GuidingField([polar])
     with pytest.raises(TypeError, match="ndarray"):
         GuidingField([np.zeros(16, complex)])
-    with pytest.raises(TypeError, match="PolarField"):
-        pw.velocity_at(polar, [0.5])
 
 
 def test_one_coordinate_query_on_a_2d_field_raises():
     """Unchecked, the query would broadcast to the point (q, q)."""
     g2 = pw.SpatialGrid((16, 16), ((0.0, 2 * np.pi), (0.0, 2 * np.pi)))
+    psi = pw.plane_wave(g2, (2.0, -1.0))
     with pytest.raises(ValueError, match="dimension 1 on a 2D field"):
-        pw.velocity_at(pw.plane_wave(g2, (2.0, -1.0)), [0.5])
+        GuidingField([psi]).velocity([0.5], psi.time)
 
 
 def test_two_coordinate_query_on_a_1d_field_raises():
@@ -97,10 +99,11 @@ def test_two_coordinate_query_on_a_1d_field_raises():
         gf.velocity(np.array([[0.5, 1.0], [2.0, 3.0]]), 0.0)
 
 
-def test_node_proximity_raises(circle):
+def test_node_proximity_is_flagged(circle):
     psi = pw.superpose(pw.plane_wave(circle, 1.0), pw.plane_wave(circle, -1.0))
-    with pytest.raises(pw.NodeProximityError):
-        pw.velocity_at(psi, [np.pi / 2], node_eps=0.05)
+    _, flags = GuidingField([psi], node_eps=0.05).velocity(
+        [[np.pi / 2], [0.0]], psi.time)
+    assert flags.tolist() == [True, False]
 
 
 def test_plane_wave_trajectory(circle):
@@ -109,7 +112,7 @@ def test_plane_wave_trajectory(circle):
              for t in np.linspace(0.0, 1.0, 11)]
     traj = pw.integrate_trajectory(pw.GuidingField(snaps), [0.5], 0.01)
     assert abs(traj.positions[-1, 0] - 2.5) < 1e-8
-    assert traj.status == "completed"
+    assert not traj.halted
 
 
 def test_stationary_state_static_trajectory():
@@ -290,7 +293,7 @@ def test_trajectory_halts_at_node(circle):
              for t in np.linspace(0.0, 1.0, 11)]
     traj = pw.integrate_trajectory(GuidingField(snaps, node_eps=0.05),
                                    [np.pi / 2], 0.01)
-    assert traj.status == "halted"
+    assert traj.halted
     assert traj.halt_time == 0.0
     assert len(traj.times) == 1
 
@@ -369,8 +372,8 @@ def test_2d_configuration_space_guidance():
     particle): a product plane wave guides each coordinate independently."""
     g = pw.SpatialGrid((64, 64), ((0.0, 2 * np.pi), (0.0, 2 * np.pi)))
     psi = pw.plane_wave(g, (2.0, -1.0))
-    v = pw.velocity_at(psi, [1.0, 4.0])
-    assert np.allclose(v, [2.0, -1.0], atol=1e-9)
+    v = GuidingField([psi]).velocity([1.0, 4.0], psi.time)[0]
+    assert np.allclose(v, [[2.0, -1.0]], atol=1e-9)
     snaps = [pw.WaveField(psi.grid, psi.values, t)
              for t in np.linspace(0.0, 1.0, 11)]
     traj = pw.integrate_trajectory(pw.GuidingField(snaps), [0.5, 0.5], 0.02)
@@ -670,7 +673,7 @@ def test_field_keeps_coefficients_and_unsafe_cells_and_recomputes_rho(dim):
     coefficients and one unsafe-cell bool, 8 dim + 1 bytes, besides its
     O(m) times and gates; |psi|^2 comes from the snapshots. Where a blend
     has points the certificate leaves open, the flags are those of the
-    full linear gate, on one snapshot (and through velocity_at) and four."""
+    full linear gate, on one snapshot and on four."""
     snaps = _node_dense_snapshots(dim)
     gf = GuidingField(snaps, node_eps=0.3)
     m, size = len(snaps), snaps[0].values.size
@@ -694,14 +697,6 @@ def test_field_keeps_coefficients_and_unsafe_cells_and_recomputes_rho(dim):
             fallbacks += 1
             assert np.array_equal(flags, full_node_flags(field, x, t))
         assert fallbacks
-    t0 = snaps[0].time
-    _, flags = one.velocity(x, t0)
-    calm = x[~flags & ~certified_points(one, x, t0)]
-    assert len(calm) and flags.any()
-    assert np.array_equal(pw.velocity_at(snaps[0], calm, node_eps=0.3),
-                          one.velocity(calm, t0)[0])
-    with pytest.raises(pw.NodeProximityError):
-        pw.velocity_at(snaps[0], x[flags][:1], node_eps=0.3)
 
 
 def _stacked_snapshots(dim):

@@ -13,7 +13,8 @@ first when k is even and the change first when k is odd. Per workload of
 ``BENCHMARK.json`` there are 10 untraced pairs at its ``run_seconds`` and
 3 traced pairs at 15 s, so each traced layer figure is a median of 3,
 plus 4 pairs on the other seed if one is given; a seed scan runs the
-change alone, 1 s per seed.
+change alone, 1 s per seed. Each traced block lists in ``counts_differ``
+the metrics of unit count whose medians differ between the sides.
 
 Every run's last stdout line is appended to ``<workdir>/runs.jsonl`` as it
 finishes (its stderr to ``<workdir>/runs.log``), and the JSON file is built
@@ -170,9 +171,17 @@ def traced_summary(pairs, names):
     return out
 
 
+def counts_differ(summary, counts):
+    """The metrics of unit count whose traced medians differ between the
+    sides: counts are exact where layer times are not."""
+    return sorted(name for name, s in summary.items()
+                  if name in counts and s["parent"] != s["change"])
+
+
 def build(args, spec, shas, runs, results):
     end_to_end = {m["name"]: m["better"] for m in spec["end_to_end"]}
     per_layer = [m["name"] for m in spec["per_layer"]]
+    counts = {m["name"] for m in spec["per_layer"] if m["unit"] == "count"}
     workloads = {}
     for run in runs:
         res = results[key(run, shas)]
@@ -201,9 +210,12 @@ def build(args, spec, shas, runs, results):
                 continue
             pairs = block.pop("pairs")
             block["pairs_run"] = len(pairs)
-            block["summary"] = (traced_summary(pairs, per_layer)
-                                if kind == "traced"
-                                else summarize(pairs, end_to_end))
+            if kind == "traced":
+                block["summary"] = traced_summary(pairs, per_layer)
+                block["counts_differ"] = counts_differ(block["summary"],
+                                                       counts)
+            else:
+                block["summary"] = summarize(pairs, end_to_end)
             block["all_correct"] = all(p[s].get("correct") for p in pairs
                                        for s in SIDES)
             block["pairs"] = pairs
